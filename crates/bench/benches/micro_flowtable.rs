@@ -23,11 +23,10 @@
 //!   pre-directory way (one slot load per position) and the default
 //!   way (one control-word load per eight positions) — the 98%-miss
 //!   row is the headline of the tag-directory work;
-//! * **the churn step at a million flows** (`churn_step_wheel_1m` vs
-//!   `churn_step_scan_1m`): expiry drain + mostly-hit lookup +
-//!   rejuvenate/allocate under continuous arrival and expiry at 2^20
-//!   table slots, timer-wheel vs LRU-scan expiry — the run asserts both
-//!   engines expire *exactly* the same flows (wheel ≡ scan);
+//! * **the churn step at a million flows** (`churn_step_1m`): expiry
+//!   drain + mostly-hit lookup + rejuvenate/allocate under continuous
+//!   arrival and expiry at 2^20 table slots — the run asserts the
+//!   measured region actually expires flows;
 //! * hit vs miss lookups (misses probe the longest in open addressing);
 //! * dchain allocate/rejuvenate — the per-packet bookkeeping;
 //! * incremental (RFC 1624) vs full checksum recomputation.
@@ -42,7 +41,7 @@ use vig_baselines::ChainedMap;
 use vig_bench::{print_table, write_result_json, Series};
 use vig_packet::checksum::{checksum, Checksum};
 use vig_packet::{FlowId, Ip4, Proto};
-use vignat::{ExpiryMode, FlowManager, NatConfig, MAX_BURST};
+use vignat::{FlowManager, NatConfig, MAX_BURST};
 
 /// Table capacity: the paper-scale flow table (also the largest the
 /// VigNAT config invariant allows).
@@ -324,19 +323,18 @@ fn churn_fid(i: usize) -> FlowId {
 }
 
 /// The steady-state NAT step under **million-flow churn**: per op, the
-/// expiry drain (timer wheel or LRU scan), then a lookup that mostly
+/// expiry drain from the dchain's head, then a lookup that mostly
 /// hits (refresh → rejuvenate) and periodically misses (new flow →
 /// allocate). A sliding window of [`CHURN_ACTIVE`] flows is refreshed
 /// round-robin; every [`CHURN_NEW_EVERY`]-th op opens a new flow and
 /// retires the window's oldest to the expirator, so arrivals and
 /// expiries balance at ~95% occupancy of the 2^20-slot table.
 ///
-/// Returns the series plus the expired count and end occupancy over the
-/// measured region — the two engines run the identical deterministic
-/// schedule, so `main` asserts both agree exactly (wheel ≡ scan).
-fn bench_churn_step(mode: ExpiryMode, rounds: usize) -> (Series, u64, usize) {
+/// Returns the series plus the expired count and end occupancy of the
+/// deterministic schedule.
+fn bench_churn_step(rounds: usize) -> (Series, u64, usize) {
     let cfg = churn_cfg();
-    let mut fm = FlowManager::with_expiry(&cfg, mode);
+    let mut fm = FlowManager::new(&cfg);
     let mut now = 0u64;
     for i in 0..CHURN_ACTIVE {
         now += CHURN_DT_NS;
@@ -387,12 +385,8 @@ fn bench_churn_step(mode: ExpiryMode, rounds: usize) -> (Series, u64, usize) {
         }
         samples.push(t0.elapsed().as_nanos() as f64 / MAX_BURST as f64);
     }
-    let name = match mode {
-        ExpiryMode::Wheel => "churn_step_wheel_1m",
-        ExpiryMode::Scan => "churn_step_scan_1m",
-    };
     (
-        Series::from_samples(name, &mut samples),
+        Series::from_samples("churn_step_1m", &mut samples),
         expired_total,
         fm.len(),
     )
@@ -470,23 +464,13 @@ fn main() {
     all.extend(bench_open_vs_chained(CAP * 99 / 100, rounds / 4));
     all.extend(bench_bookkeeping(rounds / 4));
 
-    // Million-flow churn: the same deterministic schedule through both
-    // expiry engines; their observable effects must agree exactly.
-    let (churn_wheel, expired_wheel, occ_wheel) = bench_churn_step(ExpiryMode::Wheel, rounds / 4);
-    let (churn_scan, expired_scan, occ_scan) = bench_churn_step(ExpiryMode::Scan, rounds / 4);
-    assert_eq!(
-        expired_wheel, expired_scan,
-        "wheel and scan must expire identical counts under the same churn schedule"
-    );
-    assert_eq!(
-        occ_wheel, occ_scan,
-        "wheel and scan must end churn at identical occupancy"
-    );
+    // Million-flow churn: continuous arrival and expiry at 2^20 slots.
+    let (churn, expired, occupancy) = bench_churn_step(rounds / 4);
     assert!(
-        expired_wheel > 0,
+        expired > 0,
         "the measured churn region must actually expire flows"
     );
-    all.extend([churn_wheel, churn_scan]);
+    all.push(churn);
 
     print_table(
         "MICRO: flow-table and bookkeeping costs (per-op)",
@@ -507,13 +491,10 @@ fn main() {
     );
     println!("  at 50% occupancy: {speedup_50:.2}x (gate: >= 1.3x)");
     println!("  at 99% occupancy: {speedup_99:.2}x");
-    println!(
-        "\nchurn at {CHURN_CAP} slots ({occ_wheel} resident at end): wheel and scan expired \
-         {expired_wheel} flows each (parity exact)"
-    );
+    println!("\nchurn at {CHURN_CAP} slots ({occupancy} resident at end): {expired} flows expired");
 
     let json = format!(
-        "{{\n  \"bench\": \"micro_flowtable\",\n  \"table_capacity\": {CAP},\n  \"burst\": {MAX_BURST},\n  \"batched_speedup_at_50pct\": {speedup_50:.3},\n  \"batched_speedup_at_99pct\": {speedup_99:.3},\n  \"churn\": {{\"table_capacity\": {CHURN_CAP}, \"active_window\": {CHURN_ACTIVE}, \"occupancy_end\": {occ_wheel}, \"expired_wheel\": {expired_wheel}, \"expired_scan\": {expired_scan}}},\n  \"series\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"micro_flowtable\",\n  \"table_capacity\": {CAP},\n  \"burst\": {MAX_BURST},\n  \"batched_speedup_at_50pct\": {speedup_50:.3},\n  \"batched_speedup_at_99pct\": {speedup_99:.3},\n  \"churn\": {{\"table_capacity\": {CHURN_CAP}, \"active_window\": {CHURN_ACTIVE}, \"occupancy_end\": {occupancy}, \"expired\": {expired}}},\n  \"series\": [\n    {}\n  ]\n}}\n",
         all.iter().map(Series::to_json).collect::<Vec<_>>().join(",\n    ")
     );
     write_result_json("BENCH_flowtable.json", &json);

@@ -284,7 +284,7 @@ fn check_series_row(p: &mut Problems, row: &Json, ctx: &str) {
 /// Validate `BENCH_flowtable.json`: identity, gate metrics
 /// (`batched_speedup_at_*`, the `lookup_batched_98pct` gate series),
 /// well-formed statistics on every series row, and the million-flow
-/// churn section with its exact wheel/scan expiry parity.
+/// churn section (which must witness expiry).
 pub fn check_flowtable(doc: &Json) -> Problems {
     let mut p = Problems::default();
     if doc.get("bench").and_then(Json::str) != Some("micro_flowtable") {
@@ -303,8 +303,7 @@ pub fn check_flowtable(doc: &Json) -> Problems {
             for gate in [
                 "lookup_batched_98pct",
                 "natstep_batched_98pct",
-                "churn_step_wheel_1m",
-                "churn_step_scan_1m",
+                "churn_step_1m",
             ] {
                 if !rows
                     .iter()
@@ -316,9 +315,8 @@ pub fn check_flowtable(doc: &Json) -> Problems {
         }
         _ => p.fail("series: missing or empty"),
     }
-    // The million-flow churn section: both expiry engines ran the same
-    // deterministic schedule, so the committed file must witness exact
-    // expiry parity — wheel ≡ scan, visible in the artifact.
+    // The million-flow churn section: the measured schedule must have
+    // expired flows, or the row prices no expiry at all.
     match doc.get("churn") {
         Some(ch) => {
             match ch.get("table_capacity").and_then(Json::num) {
@@ -328,18 +326,8 @@ pub fn check_flowtable(doc: &Json) -> Problems {
             if ch.get("occupancy_end").and_then(Json::num).map(|n| n > 0.0) != Some(true) {
                 p.fail("churn.occupancy_end: missing or non-positive");
             }
-            let wheel = ch.get("expired_wheel").and_then(Json::num);
-            let scan = ch.get("expired_scan").and_then(Json::num);
-            match (wheel, scan) {
-                (Some(w), Some(s)) if w > 0.0 && s > 0.0 => {
-                    if w != s {
-                        p.fail(format!(
-                            "churn: expired_wheel ({w}) != expired_scan ({s}) — \
-                             wheel/scan expiry parity broken"
-                        ));
-                    }
-                }
-                _ => p.fail("churn.expired_wheel/expired_scan: missing or non-positive"),
+            if ch.get("expired").and_then(Json::num).map(|n| n > 0.0) != Some(true) {
+                p.fail("churn.expired: missing or non-positive");
             }
         }
         None => p.fail("churn: missing"),
@@ -350,7 +338,7 @@ pub fn check_flowtable(doc: &Json) -> Problems {
 /// Validate `BENCH_throughput.json`: identity, the flow-count axis,
 /// per-series rate vectors aligned with it, well-formed bootstrap
 /// confidence intervals, the sweep sections, and the million-flow churn
-/// section (sustained rates for both expiry engines plus a well-formed
+/// section (the sustained rate of the list expiry plus a well-formed
 /// latency CCDF).
 pub fn check_throughput(doc: &Json) -> Problems {
     let mut p = Problems::default();
@@ -635,8 +623,8 @@ pub fn check_throughput(doc: &Json) -> Problems {
         }
         None => p.fail("os_wire_rfc2544: missing"),
     }
-    // Million-flow churn: sustained rates for both expiry engines and a
-    // Fig. 13-style latency CCDF (strictly increasing latencies,
+    // Million-flow churn: the sustained rate and a Fig. 13-style
+    // latency CCDF (strictly increasing latencies,
     // non-increasing tail probabilities in (0, 1]).
     match doc.get("churn") {
         Some(ch) => {
@@ -678,13 +666,11 @@ pub fn check_throughput(doc: &Json) -> Problems {
                             )),
                         }
                     }
-                    for engine in ["wheel", "scan"] {
-                        if !rows
-                            .iter()
-                            .any(|r| r.get("expiry").and_then(Json::str) == Some(engine))
-                        {
-                            p.fail(format!("churn.sustained: expiry engine '{engine}' missing"));
-                        }
+                    if !rows
+                        .iter()
+                        .any(|r| r.get("expiry").and_then(Json::str) == Some("lists"))
+                    {
+                        p.fail("churn.sustained: expiry 'lists' row missing");
                     }
                 }
                 _ => p.fail("churn.sustained: missing or empty"),
@@ -741,7 +727,7 @@ pub fn check_matrix(doc: &Json) -> Problems {
     p.require_num(doc, "packets_per_cell", 0.0);
     // Per-class lifetimes: the matrix must run the heterogeneous
     // config (distinct TCP classes), or the TCP-mix axis silently
-    // stops exercising the per-class wheels.
+    // stops exercising the per-class expiry lists.
     let udp = p.require_num(doc, "expiry_ns", 0.0);
     let transitory = p.require_num(doc, "tcp_transitory_ns", 0.0);
     let established = p.require_num(doc, "tcp_established_ns", 0.0);
@@ -1280,12 +1266,11 @@ mod tests {
             r#"{{"bench":"micro_flowtable","table_capacity":100,"burst":32,
                 "batched_speedup_at_50pct":2.0,"batched_speedup_at_99pct":1.5,
                 "churn":{{"table_capacity":1048576,"active_window":800000,
-                    "occupancy_end":950000,"expired_wheel":4000,"expired_scan":4000}},
-                "series":[{},{},{},{}]}}"#,
+                    "occupancy_end":950000,"expired":4000}},
+                "series":[{},{},{}]}}"#,
             row("lookup_batched_98pct"),
             row("natstep_batched_98pct"),
-            row("churn_step_wheel_1m"),
-            row("churn_step_scan_1m")
+            row("churn_step_1m")
         )
     }
 
@@ -1317,12 +1302,10 @@ mod tests {
         let probs = check_flowtable(&parse(&broken).unwrap());
         assert!(probs.0.iter().any(|p| p.contains("p99")));
 
-        // Wheel/scan expiry-count divergence: the parity witness the
-        // churn section exists for.
-        let broken =
-            minimal_flowtable().replace(r#""expired_scan":4000"#, r#""expired_scan":3999"#);
+        // A churn run that expired nothing prices no expiry.
+        let broken = minimal_flowtable().replace(r#""expired":4000"#, r#""expired":0"#);
         let probs = check_flowtable(&parse(&broken).unwrap());
-        assert!(probs.0.iter().any(|p| p.contains("parity broken")));
+        assert!(probs.0.iter().any(|p| p.contains("churn.expired")));
 
         // Churn at sub-million capacity must not satisfy the gate.
         let broken =
@@ -1336,12 +1319,12 @@ mod tests {
         assert!(probs.0.iter().any(|p| p.contains("churn: missing")));
 
         // The churn gate series must be present.
-        let broken = minimal_flowtable().replace("churn_step_wheel_1m", "churn_step_other");
+        let broken = minimal_flowtable().replace("churn_step_1m", "churn_step_other");
         let probs = check_flowtable(&parse(&broken).unwrap());
         assert!(probs
             .0
             .iter()
-            .any(|p| p.contains("churn_step_wheel_1m") && p.contains("missing")));
+            .any(|p| p.contains("churn_step_1m") && p.contains("missing")));
     }
 
     fn minimal_throughput() -> String {
@@ -1368,9 +1351,8 @@ mod tests {
                     "mmap_vs_frame_speedup":2.0}},
                 "churn":{{"table_capacity":1048576,"occupancy_end":970000,
                     "expired_during_churn":7500,
-                    "sustained":[{{"expiry":"wheel","mpps":3.0,"ci95_mpps":[2.8,3.2]}},
-                                 {{"expiry":"scan","mpps":2.9,"ci95_mpps":[2.7,3.1]}}],
-                    "latency_ccdf":{{"expiry":"wheel","points":[{{"latency_ns":200,"ccdf":0.5}},{{"latency_ns":400,"ccdf":0.01}}]}}}}}}"#,
+                    "sustained":[{{"expiry":"lists","mpps":3.0,"ci95_mpps":[2.8,3.2]}}],
+                    "latency_ccdf":{{"expiry":"lists","points":[{{"latency_ns":200,"ccdf":0.5}},{{"latency_ns":400,"ccdf":0.01}}]}}}}}}"#,
             series("noop"),
             series("verified"),
             series("verified_batched")
@@ -1444,13 +1426,14 @@ mod tests {
         let probs = check_throughput(&parse(&broken).unwrap());
         assert!(probs.0.iter().any(|p| p.contains("churn: missing")));
 
-        // Both expiry engines must appear in the sustained rates.
-        let broken = minimal_throughput().replace(r#""expiry":"scan""#, r#""expiry":"lru""#);
+        // The list-expiry row must appear in the sustained rates.
+        let broken = minimal_throughput()
+            .replace(r#""expiry":"lists","mpps""#, r#""expiry":"wheel","mpps""#);
         let probs = check_throughput(&parse(&broken).unwrap());
         assert!(probs
             .0
             .iter()
-            .any(|p| p.contains("expiry engine 'scan' missing")));
+            .any(|p| p.contains("expiry 'lists' row missing")));
 
         // Inverted sustained-rate interval.
         let broken = minimal_throughput().replace("[2.8,3.2]", "[3.2,2.8]");
@@ -1738,7 +1721,7 @@ mod tests {
         assert!(probs.0.iter().any(|p| p.contains("lo <= hi")));
 
         // Homogeneous lifetimes: the TCP-mix axis would stop
-        // exercising the per-class wheels.
+        // exercising the per-class expiry lists.
         let broken = minimal_matrix()
             .replace(
                 r#""tcp_transitory_ns":4000000000"#,

@@ -7,13 +7,9 @@
 //!   [`Flow`] records in slots `0..capacity`;
 //! * a [`DoubleChain`] allocating those same slot indices and keeping
 //!   their last-activity order for expiry;
-//! * in the default [`ExpiryMode::Wheel`], a [`TimerWheel`] shadowing
-//!   the chain's deadlines so expiry drains due buckets instead of
-//!   walking the LRU list;
 //! * the invariant tying them: slot `i` is chain-allocated **iff** slot
-//!   `i` is dmap-occupied (**iff** wheel-armed, in wheel mode), and the
-//!   flow in slot `i` owns the pool endpoint
-//!   `(ext_ip, ext_port) = cfg.endpoint_of(slot_base + i)`.
+//!   `i` is dmap-occupied, and the flow in slot `i` owns the pool
+//!   endpoint `(ext_ip, ext_port) = cfg.endpoint_of(slot_base + i)`.
 //!
 //! That last equality is the trick that removes the need for a separate
 //! endpoint allocator: endpoint uniqueness *is* slot uniqueness, which
@@ -22,72 +18,39 @@
 //! [`FlowManager::check_coherence`] asserts the full invariant; the
 //! differential and property tests call it liberally.
 //!
-//! ## Wheel ≡ scan
+//! ## Expiry: one LRU list per timeout class
 //!
-//! The wheel pops indices in exactly the order the LRU scan frees them
-//! — ascending `(timestamp, insertion order)` — and frees them through
-//! the same [`DoubleChain::free_index`] push the scan's `expire_one`
-//! performs, so the two modes leave **byte-identical** chain state
-//! (including free-list order, hence future slot and port assignment).
-//! `libvig::expirator`'s `wheel_drain_equals_scan_drain` property and
-//! `tests/wheel_equivalence.rs` prove this differentially; the only
-//! precondition is the monotone clock every driver already guarantees
-//! (asserted here in debug builds).
-//!
-//! ## Per-class lifetimes (TCP-aware expiry)
+//! On a homogeneous configuration (the paper's, and every config where
+//! the TCP lifetimes inherit `expiry_ns`) the chain has one list — the
+//! paper's chain — and expiry is the paper's walk from its head
+//! (`expirator::expire_items`), O(expired + 1).
 //!
 //! With per-class TCP lifetimes configured (`!cfg.is_homogeneous()`)
 //! each slot additionally carries its tracker state
-//! ([`vig_spec::TcpState`], `None` for UDP) and its current
-//! [`vig_spec::TimeoutClass`]; rejuvenation steps the tracker
-//! ([`vig_spec::tcp::transition`]) and may *migrate* the slot between
-//! classes. Expiry then runs **one engine per class**:
+//! ([`vig_spec::TcpState`], `None` for UDP), and the chain keeps **one
+//! list per [`vig_spec::TimeoutClass`]**; a slot's list tag is its class.
+//! Rejuvenation steps the tracker ([`vig_spec::tcp::transition`]) and
+//! relinks the slot to the tail of its (possibly new) class's list.
+//! Every flow in a list shares one lifetime, so each list's LRU order is
+//! its deadline order, and expiry merges the list heads
+//! (`expirator::expire_items_classed`): due slots are freed in ascending
+//! `(deadline, class, within-class LRU)` order, still O(expired + 1).
+//! The full-list scan with a sort — the same order, computed naively —
+//! is the reference this merge is tested against.
 //!
-//! * scan mode walks the whole LRU list applying each slot's own
-//!   class lifetime (`expirator::expire_items_classed`);
-//! * wheel mode keeps one [`TimerWheel`] *per class* — each wheel only
-//!   ever sees monotone stamps, preserving its insert contract — and
-//!   drains each against its own class threshold
-//!   (`expirator::expire_items_wheels`).
-//!
-//! Both free due slots in the canonical ascending
-//! `(deadline, class, within-class LRU)` order, so scan and wheels stay
-//! byte-identical (free-list order included) and the scan remains the
-//! wheel's differential oracle for every class mix.
-//!
-//! Homogeneous configurations (the paper's, and every config where the
-//! TCP lifetimes inherit `expiry_ns`) keep the **literal legacy
-//! single-wheel/scan path**: the classed engines break equal-deadline
-//! ties by class rank rather than global LRU order, so they are *not*
-//! a drop-in for the legacy order even when all lifetimes coincide.
+//! Both rest on monotone stamps. The table keeps its clock high-water
+//! mark in every build: a stamp behind it is clamped to it and counted
+//! ([`FlowManager::clock_regressions`]), so the lists stay sorted even
+//! if a driver's clock steps back.
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::DoubleMap;
 use libvig::expirator;
 use libvig::map::MapKey;
 use libvig::time::Time;
-use libvig::wheel::TimerWheel;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::tcp::{class_of, initial_state, transition};
 use vig_spec::{NatConfig, TcpState, TimeoutClass};
-
-/// How a flow table finds its expired flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpiryMode {
-    /// Walk the dchain's LRU list from its head (the paper's
-    /// `expire_items` loop). O(expired + 1) per call but O(n) worst
-    /// case per *tick* when a burst of deadlines lands together; kept
-    /// as the differential oracle for the wheel.
-    Scan,
-    /// Drain due buckets of a hierarchical [`TimerWheel`]. Same
-    /// expired sets, same order, same resulting state as [`Scan`]
-    /// (module docs) with O(1) amortized arm/refresh/pop — the mode
-    /// million-flow tables run.
-    ///
-    /// [`Scan`]: ExpiryMode::Scan
-    #[default]
-    Wheel,
-}
 
 /// The flow-table interface the concrete environments drive.
 ///
@@ -195,60 +158,41 @@ pub trait FlowTable {
 #[derive(Debug, Clone)]
 pub struct FlowManager {
     table: DoubleMap<Flow>,
+    /// Slot allocator and expiry order: one list on a homogeneous
+    /// config, one per [`TimeoutClass`] (tagged `TimeoutClass::index()`)
+    /// otherwise.
     chain: DoubleChain,
-    /// Deadline index for [`ExpiryMode::Wheel`] on a *homogeneous*
-    /// config; `None` in scan mode and on per-class configs.
-    wheel: Option<TimerWheel>,
-    /// One wheel per [`TimeoutClass`] for [`ExpiryMode::Wheel`] on a
-    /// *heterogeneous* config (module docs); empty otherwise. Indexed
-    /// by `TimeoutClass::index()`.
-    class_wheels: Vec<TimerWheel>,
     /// Per-slot TCP tracker state; `None` for UDP flows (and for free
     /// slots — stale values are overwritten on insert, never read).
     tcp_state: Vec<Option<TcpState>>,
-    /// Per-slot timeout class (`TimeoutClass::index()` of the flow).
-    /// Only consulted by the heterogeneous expiry engines.
-    class: Vec<u8>,
     /// The *global* pool configuration the endpoint mapping runs on.
     cfg: NatConfig,
     /// This table's first global slot (0 standalone; `s * per_shard`
     /// for shard `s` of a sharded table).
     slot_base: usize,
     capacity: usize,
-    /// High-water mark of the clock values seen, for the wheel-mode
-    /// monotonicity precondition (debug-asserted).
-    #[cfg(debug_assertions)]
+    /// High-water mark of the stamps taken: the monotone clock the
+    /// chain's sorted lists rest on.
     clock_high: Time,
+    /// Stamps that arrived behind `clock_high` and were clamped to it.
+    clock_regressions: u64,
     /// Reusable slot buffer for [`FlowTable::probe_internal_batch`].
     probe_slots: Vec<Option<usize>>,
 }
 
 impl FlowManager {
-    /// Preallocate for `cfg.capacity` flows with the default
-    /// [`ExpiryMode::Wheel`]. Panics if the configuration violates
-    /// [`crate::loop_body::check_config`] — a start-up error, never a
-    /// datapath one.
+    /// Preallocate for `cfg.capacity` flows. Panics if the configuration
+    /// violates [`crate::loop_body::check_config`] — a start-up error,
+    /// never a datapath one.
     pub fn new(cfg: &NatConfig) -> FlowManager {
-        FlowManager::with_expiry(cfg, ExpiryMode::default())
-    }
-
-    /// [`FlowManager::new`] with an explicit expiry mode —
-    /// [`ExpiryMode::Scan`] is the differential oracle the equivalence
-    /// suites run the wheel against.
-    pub fn with_expiry(cfg: &NatConfig, mode: ExpiryMode) -> FlowManager {
-        FlowManager::for_shard(cfg, cfg.capacity, 0, mode)
+        FlowManager::for_shard(cfg, cfg.capacity, 0)
     }
 
     /// A flow manager owning the `capacity` global slots starting at
     /// `slot_base` of `cfg`'s pool — the shard constructor
     /// ([`crate::sharded::ShardedFlowManager`] builds one per shard;
     /// standalone tables use `slot_base == 0` and the full capacity).
-    pub fn for_shard(
-        cfg: &NatConfig,
-        capacity: usize,
-        slot_base: usize,
-        mode: ExpiryMode,
-    ) -> FlowManager {
+    pub fn for_shard(cfg: &NatConfig, capacity: usize, slot_base: usize) -> FlowManager {
         crate::loop_body::check_config(cfg).expect("invalid NAT configuration");
         assert!(
             slot_base + capacity <= cfg.capacity,
@@ -256,76 +200,64 @@ impl FlowManager {
             slot_base + capacity,
             cfg.capacity
         );
+        let lists = if cfg.is_homogeneous() {
+            1
+        } else {
+            TimeoutClass::ALL.len()
+        };
         FlowManager {
             table: DoubleMap::new(capacity),
-            chain: DoubleChain::new(capacity),
-            wheel: match mode {
-                ExpiryMode::Scan => None,
-                ExpiryMode::Wheel if cfg.is_homogeneous() => Some(TimerWheel::new(capacity)),
-                ExpiryMode::Wheel => None, // per-class wheels below
-            },
-            class_wheels: if mode == ExpiryMode::Wheel && !cfg.is_homogeneous() {
-                TimeoutClass::ALL
-                    .iter()
-                    .map(|_| TimerWheel::new(capacity))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            chain: DoubleChain::with_lists(capacity, lists),
             tcp_state: vec![None; capacity],
-            class: vec![0; capacity],
             cfg: *cfg,
             slot_base,
             capacity,
-            #[cfg(debug_assertions)]
             clock_high: Time::ZERO,
+            clock_regressions: 0,
             probe_slots: Vec::new(),
         }
     }
 
-    /// The expiry mode this table runs.
-    pub fn expiry_mode(&self) -> ExpiryMode {
-        if self.wheel.is_some() || !self.class_wheels.is_empty() {
-            ExpiryMode::Wheel
-        } else {
-            ExpiryMode::Scan
-        }
-    }
-
     /// Discard every flow and rebuild this table empty, keeping its
-    /// identity (config, slot range, expiry mode). The supervisor's
-    /// recovery primitive: after a worker panic the shard's state is
-    /// suspect — mid-batch, any subset of table/chain/wheel updates may
-    /// have landed — so the restarted worker starts from the one state
-    /// whose invariants are trivially re-established, the empty table.
-    /// Equivalent to (and implemented as) constructing a fresh
-    /// [`FlowManager::for_shard`] with the stored parameters.
+    /// identity (config, slot range). The supervisor's recovery
+    /// primitive: after a worker panic the shard's state is suspect —
+    /// mid-batch, any subset of table/chain updates may have landed — so
+    /// the restarted worker starts from the one state whose invariants
+    /// are trivially re-established, the empty table. Equivalent to (and
+    /// implemented as) constructing a fresh [`FlowManager::for_shard`]
+    /// with the stored parameters.
     pub fn reset(&mut self) {
-        *self =
-            FlowManager::for_shard(&self.cfg, self.capacity, self.slot_base, self.expiry_mode());
+        *self = FlowManager::for_shard(&self.cfg, self.capacity, self.slot_base);
     }
 
-    /// Debug-only: the wheel-mode clock precondition. Every driver
-    /// feeds the table a monotone clock (the NAT has one clock); the
-    /// wheel's sorted-bucket invariant leans on it.
+    /// The stamp to record for an event at `now`: `now` itself, or the
+    /// clock high-water mark if `now` is behind it (counted in
+    /// [`FlowManager::clock_regressions`]). Every driver feeds a
+    /// monotone clock; this keeps the lists sorted if one does not.
     #[inline]
-    fn note_clock(&mut self, now: Time) {
-        #[cfg(debug_assertions)]
-        {
-            if self.wheel.is_some() || !self.class_wheels.is_empty() {
-                debug_assert!(
-                    self.clock_high <= now,
-                    "wheel mode requires a monotone clock: {:?} after {:?}",
-                    now,
-                    self.clock_high
-                );
-            }
-            if self.clock_high < now {
-                self.clock_high = now;
-            }
+    fn stamp(&mut self, now: Time) -> Time {
+        if now < self.clock_high {
+            self.clock_regressions += 1;
+            self.clock_high
+        } else {
+            self.clock_high = now;
+            now
         }
-        #[cfg(not(debug_assertions))]
-        let _ = now;
+    }
+
+    /// How many stamps arrived behind the clock high-water mark and
+    /// were clamped to it.
+    pub fn clock_regressions(&self) -> u64 {
+        self.clock_regressions
+    }
+
+    /// The chain list flows of `class` live on.
+    fn list_of(&self, class: TimeoutClass) -> usize {
+        if self.chain.lists() == 1 {
+            0
+        } else {
+            class.index()
+        }
     }
 
     /// Flow count.
@@ -372,41 +304,17 @@ impl FlowManager {
     ///
     /// `threshold` is what the loop body computes: `now -
     /// min_lifetime_ns()`. On a homogeneous config that *is* the
-    /// paper's `last_active <= threshold` test, on the literal legacy
-    /// engines. On a per-class config the manager reconstructs `now`
-    /// and applies each class's own lifetime (module docs) — a flow is
-    /// due iff `last_active + lifetime(class) <= now`.
+    /// paper's `last_active <= threshold` test on the paper's chain. On
+    /// a per-class config the manager reconstructs `now` and merges the
+    /// class lists (module docs) — a flow is due iff `last_active +
+    /// lifetime(class) <= now`.
     pub fn expire(&mut self, threshold: Time) -> usize {
-        if self.cfg.is_homogeneous() {
-            return match self.wheel.as_mut() {
-                Some(wheel) => expirator::expire_items_wheel(
-                    wheel,
-                    &mut self.chain,
-                    &mut self.table,
-                    threshold,
-                ),
-                None => expirator::expire_items(&mut self.chain, &mut self.table, threshold),
-            };
+        if self.chain.lists() == 1 {
+            return expirator::expire_items(&mut self.chain, &mut self.table, threshold);
         }
         let now = Time(threshold.nanos().saturating_add(self.cfg.min_lifetime_ns()));
         let lifetimes = self.lifetimes();
-        if self.class_wheels.is_empty() {
-            expirator::expire_items_classed(
-                &mut self.chain,
-                &mut self.table,
-                &self.class,
-                &lifetimes,
-                now,
-            )
-        } else {
-            expirator::expire_items_wheels(
-                &mut self.class_wheels,
-                &mut self.chain,
-                &mut self.table,
-                &lifetimes,
-                now,
-            )
-        }
+        expirator::expire_items_classed(&mut self.chain, &mut self.table, &lifetimes, now)
     }
 
     /// Per-class lifetimes, indexed by `TimeoutClass::index()`.
@@ -477,36 +385,23 @@ impl FlowManager {
 
     /// Refresh a flow's activity timestamp and step its TCP tracker
     /// with a segment's flags from `dir`. A state change can migrate
-    /// the flow between timeout classes, re-arming it on its new
-    /// class's wheel (stamped `now`, so each wheel still only ever
-    /// sees monotone stamps).
+    /// the flow between timeout classes; either way it moves to the
+    /// tail of its class's list.
     ///
     /// Precondition (P4) as for [`FlowManager::rejuvenate`].
     pub fn rejuvenate_with(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
-        self.note_clock(now);
-        let ok = self.chain.rejuvenate(slot, now);
-        debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
-        if let Some(st) = self.tcp_state[slot] {
-            let next = transition(st, dir, tcp_flags);
-            self.tcp_state[slot] = Some(next);
-            let old_class = self.class[slot];
-            let new_class = class_of(Proto::Tcp, Some(next)).index() as u8;
-            self.class[slot] = new_class;
-            if !self.class_wheels.is_empty() {
-                if new_class == old_class {
-                    self.class_wheels[usize::from(new_class)].refresh(slot, now);
-                } else {
-                    let removed = self.class_wheels[usize::from(old_class)].remove(slot);
-                    debug_assert!(removed, "slot {slot} missing from class-{old_class} wheel");
-                    self.class_wheels[usize::from(new_class)].insert(slot, now);
-                }
+        let now = self.stamp(now);
+        let class = match self.tcp_state[slot] {
+            Some(st) => {
+                let next = transition(st, dir, tcp_flags);
+                self.tcp_state[slot] = Some(next);
+                next.class()
             }
-        } else if !self.class_wheels.is_empty() {
-            self.class_wheels[usize::from(self.class[slot])].refresh(slot, now);
-        }
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.refresh(slot, now);
-        }
+            None => TimeoutClass::Udp,
+        };
+        let list = self.list_of(class);
+        let ok = self.chain.rejuvenate_into(slot, list, now);
+        debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
     }
 
     /// The TCP tracker state of an occupied slot (`None` for UDP
@@ -521,12 +416,8 @@ impl FlowManager {
     /// The caller must follow up with [`FlowManager::insert`] for the
     /// same slot (the loop body does; the Validator checks it).
     pub fn allocate_slot(&mut self, now: Time) -> Option<usize> {
-        self.note_clock(now);
-        let slot = self.chain.allocate(now).ok()?;
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.insert(slot, now);
-        }
-        Some(slot)
+        let now = self.stamp(now);
+        self.chain.allocate(now).ok()
     }
 
     /// Populate a reserved slot.
@@ -563,7 +454,6 @@ impl FlowManager {
             "slot/address bijection violated"
         );
         let st = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
-        let class = class_of(fid.proto, st).index() as u8;
         let flow = Flow {
             int_key: fid,
             ext_ip,
@@ -572,16 +462,15 @@ impl FlowManager {
         let ok = self.table.put_with_hash(slot, flow, fid_hash);
         debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
         self.tcp_state[slot] = st;
-        self.class[slot] = class;
-        if !self.class_wheels.is_empty() {
-            // The slot was stamped by `allocate_slot` (same iteration,
-            // P4); arm its class's wheel with that same stamp so wheel
-            // deadlines and chain stamps stay equal.
+        if self.chain.lists() > 1 {
+            // `allocate_slot` put the slot on list 0 (same iteration,
+            // P4); move it to its class's list, keeping that stamp.
             let stamp = self
                 .chain
                 .timestamp_of(slot)
                 .expect("insert into unallocated slot");
-            self.class_wheels[usize::from(class)].insert(slot, stamp);
+            let list = self.list_of(class_of(fid.proto, st));
+            self.chain.rejuvenate_into(slot, list, stamp);
         }
     }
 
@@ -609,8 +498,10 @@ impl FlowManager {
         self.table.probe_len_by_a(fid)
     }
 
-    /// Iterate over live flows (slot, flow, last_active), oldest first.
-    /// For tests and statistics; the datapath never scans.
+    /// Iterate over live flows (slot, flow, last_active): each class
+    /// list oldest-first, class by class (on a homogeneous config, the
+    /// one list, oldest first). For tests and statistics; the datapath
+    /// never scans.
     pub fn iter_lru(&self) -> impl Iterator<Item = (usize, &Flow, Time)> + '_ {
         self.chain
             .iter_lru()
@@ -631,26 +522,15 @@ impl FlowManager {
         // the slots exactly — expiry and slot realloc go through
         // erase/put, which maintain them.
         self.table.check_directory_coherence()?;
-        if let Some(wheel) = self.wheel.as_ref() {
-            wheel.check_consistency();
-            if wheel.len() != self.chain.size() {
-                return Err(format!(
-                    "wheel arms {} slots, dchain {}",
-                    wheel.len(),
-                    self.chain.size()
-                ));
-            }
-        }
-        if !self.class_wheels.is_empty() {
-            let armed: usize = self.class_wheels.iter().map(TimerWheel::len).sum();
-            if armed != self.chain.size() {
-                return Err(format!(
-                    "class wheels arm {armed} slots, dchain {}",
-                    self.chain.size()
-                ));
-            }
-            for w in &self.class_wheels {
-                w.check_consistency();
+        for list in 0..self.chain.lists() {
+            let mut prev = Time::ZERO;
+            for (slot, t) in self.chain.iter_list(list) {
+                if t < prev {
+                    return Err(format!(
+                        "list {list}: slot {slot} stamped {t:?} after {prev:?}"
+                    ));
+                }
+                prev = t;
             }
         }
         for slot in 0..self.capacity {
@@ -659,54 +539,21 @@ impl FlowManager {
             if in_map != in_chain {
                 return Err(format!("slot {slot}: dmap={in_map} dchain={in_chain}"));
             }
-            if let Some(wheel) = self.wheel.as_ref() {
-                if wheel.contains(slot) != in_chain {
-                    return Err(format!(
-                        "slot {slot}: wheel={} dchain={in_chain}",
-                        wheel.contains(slot)
-                    ));
-                }
-                if in_chain && wheel.deadline_of(slot) != self.chain.timestamp_of(slot) {
-                    return Err(format!(
-                        "slot {slot}: wheel deadline {:?} != chain stamp {:?}",
-                        wheel.deadline_of(slot),
-                        self.chain.timestamp_of(slot)
-                    ));
-                }
-            }
             if let Some(f) = self.table.get(slot) {
-                // TCP tracker coherence: tracked iff TCP, class derived
-                // from the tracker, and (per-class wheel mode) armed on
-                // exactly its class's wheel at the chain's stamp.
+                // TCP tracker coherence: tracked iff TCP, and the slot
+                // sits on its tracker class's list.
                 if self.tcp_state[slot].is_some() != (f.int_key.proto == Proto::Tcp) {
                     return Err(format!(
                         "slot {slot}: tcp_state {:?} for proto {:?}",
                         self.tcp_state[slot], f.int_key.proto
                     ));
                 }
-                let want_class = class_of(f.int_key.proto, self.tcp_state[slot]).index() as u8;
-                if self.class[slot] != want_class {
+                let want = self.list_of(class_of(f.int_key.proto, self.tcp_state[slot]));
+                if self.chain.list_of(slot) != Some(want) {
                     return Err(format!(
-                        "slot {slot}: class {} != tracker class {want_class}",
-                        self.class[slot]
+                        "slot {slot}: on list {:?}, tracker class wants list {want}",
+                        self.chain.list_of(slot)
                     ));
-                }
-                for (ci, w) in self.class_wheels.iter().enumerate() {
-                    let should_arm = ci == usize::from(self.class[slot]);
-                    if w.contains(slot) != should_arm {
-                        return Err(format!(
-                            "slot {slot}: class-{ci} wheel membership {} (class {})",
-                            w.contains(slot),
-                            self.class[slot]
-                        ));
-                    }
-                    if should_arm && w.deadline_of(slot) != self.chain.timestamp_of(slot) {
-                        return Err(format!(
-                            "slot {slot}: class-{ci} wheel stamp {:?} != chain stamp {:?}",
-                            w.deadline_of(slot),
-                            self.chain.timestamp_of(slot)
-                        ));
-                    }
                 }
                 if f.ext_port != self.port_of_slot(slot) {
                     return Err(format!(
@@ -899,13 +746,12 @@ mod tests {
 
     #[test]
     fn heterogeneous_config_selects_per_class_engines() {
+        // One chain list per timeout class...
         let fm = FlowManager::new(&classed_cfg());
-        assert_eq!(fm.expiry_mode(), ExpiryMode::Wheel);
-        let fm = FlowManager::with_expiry(&classed_cfg(), ExpiryMode::Scan);
-        assert_eq!(fm.expiry_mode(), ExpiryMode::Scan);
-        // Homogeneous keeps the legacy single wheel.
+        assert_eq!(fm.chain.lists(), TimeoutClass::ALL.len());
+        // ...while a homogeneous config keeps the paper's single chain.
         let fm = FlowManager::new(&cfg());
-        assert!(fm.wheel.is_some() && fm.class_wheels.is_empty());
+        assert_eq!(fm.chain.lists(), 1);
     }
 
     #[test]
@@ -953,12 +799,35 @@ mod tests {
         assert!(fm.is_empty());
     }
 
-    /// One rejuvenate/expire trace, on a per-class config, against both
-    /// expiry engines in lockstep.
-    fn classed_trace(mode: ExpiryMode) -> Vec<(usize, u16, Time)> {
+    /// Live flows as `(ext_port, last_active, tcp_state)`, by port.
+    fn live(fm: &FlowManager) -> Vec<(u16, Time, Option<TcpState>)> {
+        let mut v: Vec<_> = fm
+            .iter_lru()
+            .map(|(slot, f, t)| (f.ext_port, t, fm.tcp_state_of(slot)))
+            .collect();
+        v.sort_unstable_by_key(|e| e.0);
+        v
+    }
+
+    fn live_spec(spec: &vig_spec::AbstractNat) -> Vec<(u16, Time, Option<TcpState>)> {
+        let mut v: Vec<_> = spec
+            .flows()
+            .iter()
+            .map(|f| (f.ext_port, f.last_active, f.tcp_state))
+            .collect();
+        v.sort_unstable_by_key(|e| e.0);
+        v
+    }
+
+    /// One rejuvenate/expire trace on a per-class config, checked step
+    /// by step against the spec's `AbstractNat`: expired counts and the
+    /// live flows (stamps and tracker states) agree after every expiry.
+    #[test]
+    fn per_class_lists_match_the_spec() {
         use vig_packet::tcp::flags;
         let c = classed_cfg();
-        let mut fm = FlowManager::with_expiry(&c, mode);
+        let mut fm = FlowManager::new(&c);
+        let mut spec = vig_spec::AbstractNat::new(c);
         let mk = |i: u8| {
             if i.is_multiple_of(2) {
                 fid(i, 100)
@@ -969,45 +838,62 @@ mod tests {
         let mut now = Time::ZERO;
         for i in 0..6u8 {
             now = now.plus(500_000_000);
-            fm.allocate(mk(i), now).unwrap();
+            let (slot, port) = fm.allocate(mk(i), now).unwrap();
+            spec.insert(mk(i), fm.ip_of_slot(slot), port, now).unwrap();
         }
+        let refresh = |fm: &mut FlowManager, spec: &mut vig_spec::AbstractNat, i: u8, now, fl| {
+            if let Some((slot, _)) = fm.lookup_internal(&mk(i)) {
+                fm.rejuvenate_with(slot, now, Direction::Internal, fl);
+                assert!(spec.refresh_with(&mk(i), now, Direction::Internal, fl));
+            }
+        };
         // Steer the TCP flows through distinct states.
         for (i, fl) in [(1u8, flags::SYN), (3, flags::FIN), (5, flags::ACK)] {
-            if let Some((slot, _)) = fm.lookup_internal(&mk(i)) {
-                now = now.plus(100_000_000);
-                fm.rejuvenate_with(slot, now, Direction::Internal, fl);
-            }
+            now = now.plus(100_000_000);
+            refresh(&mut fm, &mut spec, i, now, fl);
         }
-        let mut log = Vec::new();
         for step in 0..40u64 {
             now = now.plus(1_000_000_000);
-            let thr = now.minus(c.min_lifetime_ns());
-            fm.expire(thr);
+            let n = fm.expire(now.minus(c.min_lifetime_ns()));
+            assert_eq!(n, spec.expire_flows(now).len(), "step {step}");
             fm.check_coherence().unwrap();
+            assert_eq!(live(&fm), live_spec(&spec), "step {step}");
             if step % 7 == 0 {
-                if let Some((slot, _)) = fm.lookup_internal(&mk(5)) {
-                    fm.rejuvenate_with(slot, now, Direction::Internal, flags::ACK);
-                }
-            }
-            for (slot, f, t) in fm.iter_lru() {
-                log.push((slot, f.ext_port, t));
+                refresh(&mut fm, &mut spec, 5, now, flags::ACK);
             }
         }
-        // Free-list drain order: refill and log the assignment order.
-        let mut i = 100u8;
-        while let Some((slot, port)) = fm.allocate(fid(i, 200), now) {
-            log.push((slot, port, now));
-            i += 1;
-        }
-        log
     }
 
+    /// The release-mode clock invariant: one stamp behind the high-water
+    /// mark is clamped to it and counted, the lists stay sorted, and
+    /// expiry and slot reuse match a run fed the clamped stamp itself.
     #[test]
-    fn per_class_wheels_equal_per_class_scan() {
-        assert_eq!(
-            classed_trace(ExpiryMode::Wheel),
-            classed_trace(ExpiryMode::Scan)
-        );
+    fn backward_stamp_is_clamped_and_counted() {
+        let c = classed_cfg();
+        let run = |third: Time| {
+            let mut fm = FlowManager::new(&c);
+            fm.allocate(tcp_fid(1, 100), Time::from_secs(1)).unwrap();
+            fm.allocate(fid(2, 100), Time::from_secs(3)).unwrap();
+            fm.allocate(fid(3, 100), third).unwrap();
+            fm.check_coherence().unwrap();
+            let mut log = Vec::new();
+            for t in [12u64, 13, 30, 31, 40] {
+                let thr = Time::from_secs(t).minus(c.min_lifetime_ns());
+                log.push(fm.expire(thr));
+                fm.check_coherence().unwrap();
+            }
+            let mut i = 10u8;
+            while let Some((slot, _)) = fm.allocate(fid(i, 200), Time::from_secs(40)) {
+                log.push(slot);
+                i += 1;
+            }
+            (fm.clock_regressions(), log)
+        };
+        let (regressions, log) = run(Time::from_secs(2));
+        let (reference_regressions, reference) = run(Time::from_secs(3));
+        assert_eq!(regressions, 1);
+        assert_eq!(reference_regressions, 0);
+        assert_eq!(log, reference);
     }
 
     proptest! {

@@ -5,7 +5,8 @@
 //!
 //! * **Stateful half** — [`flow_manager::FlowManager`]: all NAT state,
 //!   held in libVig structures (a [`libvig::DoubleMap`] flow table plus a
-//!   [`libvig::DoubleChain`] slot allocator). Verified against contracts
+//!   [`libvig::DoubleChain`] slot allocator whose LRU lists, one per
+//!   timeout class, are the expiry order). Verified against contracts
 //!   in the `libvig` crate (P3). Behind the [`flow_manager::FlowTable`]
 //!   seam the state can also be RSS-partitioned across N independent
 //!   shards ([`sharded::ShardedFlowManager`]) without the stateless
@@ -35,8 +36,9 @@
 //! `start_port + i` with the paper's single-address pool — so endpoint
 //! uniqueness follows from slot uniqueness, which the dchain contract
 //! provides. Beyond 64k flows the pool spills onto consecutive
-//! external addresses, and expiry runs on a hierarchical timer wheel
-//! ([`flow_manager::ExpiryMode`]) proven equivalent to the LRU scan.
+//! external addresses. Expiry walks the dchain from its head; with
+//! per-class TCP lifetimes the dchain keeps one LRU list per timeout
+//! class and expiry merges the list heads ([`flow_manager`]).
 //!
 //! ## Quick start
 //!
@@ -74,7 +76,7 @@ pub mod simple_env;
 
 pub use domain::{Concrete, Domain};
 pub use env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
-pub use flow_manager::{ExpiryMode, FlowManager, FlowTable};
+pub use flow_manager::{FlowManager, FlowTable};
 pub use loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome, MAX_BURST};
 pub use sharded::{QueueFed, ShardedFlowManager};
 pub use simple_env::SimpleEnv;

@@ -636,8 +636,8 @@ pub fn check_config(cfg: &NatConfig) -> Result<(), String> {
         return Err("capacity must be at least 1".into());
     }
     // Million-flow tables are in scope; the cap below only keeps the
-    // per-slot structures (flow table, dchain, timer wheel — all u32-
-    // indexed) and their memory honestly bounded.
+    // per-slot structures (flow table, dchain) and their memory
+    // honestly bounded.
     if cfg.capacity > MAX_CAPACITY {
         return Err(format!(
             "capacity {} exceeds the supported maximum {}",
@@ -683,9 +683,8 @@ pub fn check_config(cfg: &NatConfig) -> Result<(), String> {
 }
 
 /// Largest supported `capacity`: 2^26 flows. Far beyond the paper's
-/// evaluation (and the issue's 2^20 target) while keeping u32 slot
-/// indices — which the timer wheel's intrusive links use — comfortably
-/// valid and table memory bounded.
+/// evaluation (and the 2^20 million-flow target) while keeping table
+/// memory bounded.
 pub const MAX_CAPACITY: usize = 1 << 26;
 
 #[cfg(test)]

@@ -47,7 +47,7 @@
 //! tests pin this behaviour down; `docs/ARCHITECTURE.md` discusses the
 //! sizing consequences.
 
-use crate::flow_manager::{ExpiryMode, FlowManager, FlowTable};
+use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::IterationOutcome;
 use crate::simple_env::{RawRx, SimpleEnv};
 use libvig::rss::{shard_of, BatchSplit};
@@ -68,8 +68,7 @@ pub struct ShardedFlowManager {
 }
 
 impl ShardedFlowManager {
-    /// Partition `cfg` into `shards` independent flow managers, in the
-    /// default [`ExpiryMode::Wheel`].
+    /// Partition `cfg` into `shards` independent flow managers.
     ///
     /// Each shard gets `cfg.capacity / shards` slots (the remainder, if
     /// any, is dropped — the table's effective capacity is
@@ -79,12 +78,6 @@ impl ShardedFlowManager {
     ///
     /// [`check_config`]: crate::loop_body::check_config
     pub fn new(cfg: &NatConfig, shards: usize) -> ShardedFlowManager {
-        ShardedFlowManager::with_expiry(cfg, shards, ExpiryMode::default())
-    }
-
-    /// [`ShardedFlowManager::new`] with an explicit expiry mode for
-    /// every shard (the churn-parity suites run `Scan` as the oracle).
-    pub fn with_expiry(cfg: &NatConfig, shards: usize, mode: ExpiryMode) -> ShardedFlowManager {
         crate::loop_body::check_config(cfg).expect("invalid NAT configuration");
         assert!(shards > 0, "need at least one shard");
         let per_shard = cfg.capacity / shards;
@@ -96,7 +89,7 @@ impl ShardedFlowManager {
         );
         ShardedFlowManager {
             shards: (0..shards)
-                .map(|s| FlowManager::for_shard(cfg, per_shard, s * per_shard, mode))
+                .map(|s| FlowManager::for_shard(cfg, per_shard, s * per_shard))
                 .collect(),
             cfg: *cfg,
             per_shard,

@@ -1,50 +1,65 @@
 //! The "double chain": libVig's index allocator with timestamp-ordered
-//! expiry (Vigor's `double-chain.c`).
+//! expiry (Vigor's `double-chain.c`), generalised to a fixed number of
+//! allocated lists over the same index space.
 //!
 //! The NAT allocates one slot index per flow. The double chain hands out
 //! indices from a preallocated pool, remembers the last-activity time of
 //! each allocated index, and can **expire the oldest index in O(1)**
-//! because the allocated list is kept in least-recently-refreshed order:
-//! `allocate` and `rejuvenate` both append at the tail with the current
-//! time, and time is monotonic, so the head is always the stalest entry.
+//! because each allocated list is kept in least-recently-refreshed
+//! order: `allocate` and `rejuvenate` both append at a list's tail with
+//! the current time, and time is monotonic, so each list's head is its
+//! stalest entry.
+//!
+//! A chain built with [`DoubleChain::new`] has exactly one allocated
+//! list — the paper's chain. [`DoubleChain::with_lists`] adds more lists
+//! over the same `next`/`prev` arrays, each with its own head and tail;
+//! every allocated index carries the tag of the one list it is on
+//! ([`DoubleChain::list_of`]). The NAT keeps one list per timeout class,
+//! so within a list last-activity order *is* deadline order.
 //!
 //! ## Contract summary
 //!
-//! Writing the abstract state as an ordered sequence
-//! `[(index, timestamp)]` (oldest first) plus a free set
-//! ([`AbstractChain`]):
+//! Writing the abstract state as one ordered sequence
+//! `[(index, timestamp, list)]` (least recently touched first) plus a
+//! free set ([`AbstractChain`]), each list is that sequence filtered by
+//! its tag:
 //!
-//! * `allocate(t)` — requires `t >= every allocated timestamp` (time
+//! * `allocate(t)` — requires `t >=` every timestamp on list 0 (time
 //!   monotonicity); ensures: if the free set is nonempty, some free index
-//!   moves to the tail of the sequence with timestamp `t`; otherwise
-//!   returns `None` and nothing changes.
-//! * `rejuvenate(i, t)` — requires `i` allocated and `t >=` its current
-//!   stamp (and every other stamp, by monotonicity); ensures `i` moves to
-//!   the tail with timestamp `t`.
-//! * `expire_one(threshold)` — ensures: if the head's timestamp
-//!   `<= threshold`, the head index is freed and returned; otherwise
+//!   moves to the tail of list 0 with timestamp `t`; otherwise returns
+//!   `None` and nothing changes.
+//! * `rejuvenate_into(i, l, t)` — requires `i` allocated and `t >=` every
+//!   timestamp on list `l`; ensures `i` moves to the tail of list `l`
+//!   with timestamp `t`. `rejuvenate(i, t)` keeps `i` on its own list.
+//! * `expire_one(threshold)` — ensures: if the head of list 0 has
+//!   timestamp `<= threshold`, it is freed and returned; otherwise
 //!   `None` and nothing changes. (Paper Fig. 6 expires
 //!   `G.timestamp + Texp <= t`; callers pass
 //!   `threshold = now - Texp`, see [`crate::expirator`].)
-//! * `is_allocated(i)`, `timestamp_of(i)` — pure queries.
+//! * `is_allocated(i)`, `timestamp_of(i)`, `list_of(i)`, `head(l)` —
+//!   pure queries.
 
 use crate::time::Time;
 use crate::Full;
 
 const NIL: usize = usize::MAX;
 
+/// List tag of a free index.
+const FREE: u8 = u8::MAX;
+
 /// The double chain. See module docs.
 #[derive(Debug, Clone)]
 pub struct DoubleChain {
-    /// Doubly-linked allocated list in LRU order + singly-linked free list,
-    /// sharing the `next`/`prev` arrays.
+    /// Doubly-linked allocated lists in LRU order + singly-linked free
+    /// list, all sharing the `next`/`prev` arrays.
     next: Vec<usize>,
     prev: Vec<usize>,
     timestamps: Vec<Time>,
-    allocated: Vec<bool>,
-    /// Head/tail of the allocated list (oldest / freshest).
-    al_head: usize,
-    al_tail: usize,
+    /// The list each index is on, or [`FREE`].
+    list: Vec<u8>,
+    /// Head/tail of each allocated list (oldest / freshest).
+    heads: Vec<usize>,
+    tails: Vec<usize>,
     /// Head of the free list.
     free_head: usize,
     size: usize,
@@ -52,9 +67,19 @@ pub struct DoubleChain {
 }
 
 impl DoubleChain {
-    /// Preallocate a chain handing out indices `0..capacity`.
+    /// Preallocate a single-list chain handing out indices `0..capacity`.
     pub fn new(capacity: usize) -> DoubleChain {
+        DoubleChain::with_lists(capacity, 1)
+    }
+
+    /// Preallocate a chain with `lists` allocated lists (`1..255`) over
+    /// the indices `0..capacity`.
+    pub fn with_lists(capacity: usize, lists: usize) -> DoubleChain {
         assert!(capacity > 0, "dchain capacity must be non-zero");
+        assert!(
+            (1..usize::from(FREE)).contains(&lists),
+            "dchain needs 1..255 lists, got {lists}"
+        );
         let mut next = vec![NIL; capacity];
         for (i, n) in next.iter_mut().enumerate().take(capacity - 1) {
             *n = i + 1;
@@ -63,9 +88,9 @@ impl DoubleChain {
             next,
             prev: vec![NIL; capacity],
             timestamps: vec![Time::ZERO; capacity],
-            allocated: vec![false; capacity],
-            al_head: NIL,
-            al_tail: NIL,
+            list: vec![FREE; capacity],
+            heads: vec![NIL; lists],
+            tails: vec![NIL; lists],
             free_head: 0,
             size: 0,
             capacity,
@@ -75,6 +100,11 @@ impl DoubleChain {
     /// Capacity fixed at construction.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Number of allocated lists fixed at construction.
+    pub fn lists(&self) -> usize {
+        self.heads.len()
     }
 
     /// Number of allocated indices.
@@ -89,31 +119,30 @@ impl DoubleChain {
 
     /// True if `index` is currently allocated. Out-of-range is `false`.
     pub fn is_allocated(&self, index: usize) -> bool {
-        index < self.capacity && self.allocated[index]
+        index < self.capacity && self.list[index] != FREE
+    }
+
+    /// The list an allocated index is on.
+    pub fn list_of(&self, index: usize) -> Option<usize> {
+        self.is_allocated(index)
+            .then(|| usize::from(self.list[index]))
     }
 
     /// Last-refresh time of an allocated index.
     pub fn timestamp_of(&self, index: usize) -> Option<Time> {
-        if self.is_allocated(index) {
-            Some(self.timestamps[index])
-        } else {
-            None
-        }
+        self.is_allocated(index).then(|| self.timestamps[index])
     }
 
-    /// Timestamp of the oldest allocated index (the expiry candidate).
-    pub fn oldest_timestamp(&self) -> Option<Time> {
-        if self.al_head == NIL {
-            None
-        } else {
-            Some(self.timestamps[self.al_head])
-        }
+    /// The oldest index of list `list` and its timestamp.
+    pub fn head(&self, list: usize) -> Option<(usize, Time)> {
+        let idx = self.heads[list];
+        (idx != NIL).then(|| (idx, self.timestamps[idx]))
     }
 
-    /// Allocate a fresh index stamped `time`.
+    /// Allocate a fresh index on list 0, stamped `time`.
     ///
     /// Contract precondition (checked by [`CheckedChain`]): `time` is not
-    /// older than any allocated timestamp. Returns [`Full`] when no index
+    /// older than any timestamp on list 0. Returns [`Full`] when no index
     /// is free.
     pub fn allocate(&mut self, time: Time) -> Result<usize, Full> {
         if self.free_head == NIL {
@@ -121,112 +150,113 @@ impl DoubleChain {
         }
         let idx = self.free_head;
         self.free_head = self.next[idx];
-        self.append_allocated(idx, time);
+        self.append(idx, 0, time);
         self.size += 1;
         Ok(idx)
     }
 
     /// Refresh an allocated index's timestamp to `time`, moving it to the
-    /// freshest end of the expiry order.
+    /// freshest end of its list.
     ///
     /// Contract preconditions: `index` allocated; `time` monotonic.
     /// Returns `false` (and changes nothing) if `index` is not allocated.
     pub fn rejuvenate(&mut self, index: usize, time: Time) -> bool {
+        match self.list_of(index) {
+            Some(list) => self.rejuvenate_into(index, list, time),
+            None => false,
+        }
+    }
+
+    /// Move an allocated index to the freshest end of list `list` (its
+    /// own or another), stamped `time`.
+    ///
+    /// Contract preconditions: `index` allocated; `time` not older than
+    /// any timestamp on `list`. Returns `false` (and changes nothing) if
+    /// `index` is not allocated.
+    pub fn rejuvenate_into(&mut self, index: usize, list: usize, time: Time) -> bool {
+        assert!(list < self.lists(), "dchain list {list} out of range");
         if !self.is_allocated(index) {
             return false;
         }
-        self.unlink_allocated(index);
-        self.append_allocated(index, time);
+        self.unlink(index);
+        self.append(index, list as u8, time);
         true
     }
 
-    /// If the oldest allocated index has `timestamp <= threshold`, free it
-    /// and return it.
+    /// If the oldest index of list 0 has `timestamp <= threshold`, free
+    /// it and return it.
     pub fn expire_one(&mut self, threshold: Time) -> Option<usize> {
-        if self.al_head == NIL {
+        let (idx, stamp) = self.head(0)?;
+        if stamp > threshold {
             return None;
         }
-        let idx = self.al_head;
-        if self.timestamps[idx] > threshold {
-            return None;
-        }
-        self.unlink_allocated(idx);
-        self.allocated[idx] = false;
-        self.next[idx] = self.free_head;
-        self.free_head = idx;
-        self.size -= 1;
+        self.free_index(idx);
         Some(idx)
     }
 
-    /// Free an allocated index directly (used by NFs that tear down state
-    /// eagerly, e.g. on TCP RST — VigNAT itself only expires by time).
-    /// Returns `false` if the index was not allocated.
+    /// Free an allocated index directly, pushing it onto the free list
+    /// exactly as [`DoubleChain::expire_one`] does. Returns `false` if
+    /// the index was not allocated.
     pub fn free_index(&mut self, index: usize) -> bool {
         if !self.is_allocated(index) {
             return false;
         }
-        self.unlink_allocated(index);
-        self.allocated[index] = false;
+        self.unlink(index);
+        self.list[index] = FREE;
         self.next[index] = self.free_head;
         self.free_head = index;
         self.size -= 1;
         true
     }
 
-    /// Allocated indices oldest-first (the expiry order). For contracts
-    /// and tests; the NF never iterates.
-    pub fn iter_lru(&self) -> impl Iterator<Item = (usize, Time)> + '_ {
-        LruIter {
-            chain: self,
-            cur: self.al_head,
-        }
+    /// The indices of list `list`, oldest-first (its expiry order).
+    pub fn iter_list(&self, list: usize) -> impl Iterator<Item = (usize, Time)> + '_ {
+        let mut cur = self.heads[list];
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let i = cur;
+            cur = self.next[i];
+            Some((i, self.timestamps[i]))
+        })
     }
 
-    fn append_allocated(&mut self, idx: usize, time: Time) {
-        self.allocated[idx] = true;
+    /// Every allocated index: each list oldest-first, list by list. For
+    /// contracts and tests; the NF never iterates.
+    pub fn iter_lru(&self) -> impl Iterator<Item = (usize, Time)> + '_ {
+        (0..self.lists()).flat_map(move |l| self.iter_list(l))
+    }
+
+    fn append(&mut self, idx: usize, list: u8, time: Time) {
+        let tail = &mut self.tails[usize::from(list)];
+        self.list[idx] = list;
         self.timestamps[idx] = time;
         self.next[idx] = NIL;
-        self.prev[idx] = self.al_tail;
-        if self.al_tail != NIL {
-            self.next[self.al_tail] = idx;
+        self.prev[idx] = *tail;
+        if *tail != NIL {
+            self.next[*tail] = idx;
         } else {
-            self.al_head = idx;
+            self.heads[usize::from(list)] = idx;
         }
-        self.al_tail = idx;
+        *tail = idx;
     }
 
-    fn unlink_allocated(&mut self, idx: usize) {
+    fn unlink(&mut self, idx: usize) {
+        let list = usize::from(self.list[idx]);
         let (p, n) = (self.prev[idx], self.next[idx]);
         if p != NIL {
             self.next[p] = n;
         } else {
-            self.al_head = n;
+            self.heads[list] = n;
         }
         if n != NIL {
             self.prev[n] = p;
         } else {
-            self.al_tail = p;
+            self.tails[list] = p;
         }
         self.prev[idx] = NIL;
         self.next[idx] = NIL;
-    }
-}
-
-struct LruIter<'a> {
-    chain: &'a DoubleChain,
-    cur: usize,
-}
-
-impl Iterator for LruIter<'_> {
-    type Item = (usize, Time);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let i = self.cur;
-        self.cur = self.chain.next[i];
-        Some((i, self.chain.timestamps[i]))
     }
 }
 
@@ -234,12 +264,13 @@ impl Iterator for LruIter<'_> {
 // Abstract model and contracts
 // ---------------------------------------------------------------------------
 
-/// Abstract double chain: allocated indices in expiry order (oldest first)
-/// plus the derived free set. Analog of Vigor's `dchainp` fixpoints.
+/// Abstract double chain: allocated indices in least-recently-touched
+/// order, each tagged with its list, plus the derived free set. Analog
+/// of Vigor's `dchainp` fixpoints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbstractChain {
-    /// `(index, timestamp)` oldest-first; timestamps are non-decreasing.
-    seq: Vec<(usize, Time)>,
+    /// `(index, timestamp, list)`, least recently touched first.
+    seq: Vec<(usize, Time, usize)>,
     capacity: usize,
 }
 
@@ -264,23 +295,30 @@ impl AbstractChain {
 
     /// Is the index allocated?
     pub fn is_allocated(&self, index: usize) -> bool {
-        self.seq.iter().any(|&(i, _)| i == index)
+        self.seq.iter().any(|&(i, _, _)| i == index)
     }
 
     /// Timestamp of an allocated index.
     pub fn timestamp_of(&self, index: usize) -> Option<Time> {
-        self.seq.iter().find(|&&(i, _)| i == index).map(|&(_, t)| t)
+        self.seq
+            .iter()
+            .find(|&&(i, _, _)| i == index)
+            .map(|&(_, t, _)| t)
     }
 
-    /// The allocation-order sequence.
-    pub fn seq(&self) -> &[(usize, Time)] {
-        &self.seq
+    /// List `list`: the sequence filtered by its tag.
+    pub fn list_seq(&self, list: usize) -> Vec<(usize, Time)> {
+        self.seq
+            .iter()
+            .filter(|&&(_, _, l)| l == list)
+            .map(|&(i, t, _)| (i, t))
+            .collect()
     }
 
-    /// Greatest timestamp currently allocated (for the monotonicity
+    /// Greatest timestamp on list `list` (for the monotonicity
     /// precondition).
-    pub fn max_timestamp(&self) -> Option<Time> {
-        self.seq.last().map(|&(_, t)| t)
+    pub fn max_timestamp(&self, list: usize) -> Option<Time> {
+        self.list_seq(list).last().map(|&(_, t)| t)
     }
 
     /// Model `allocate`: nondeterministic in which free index is chosen,
@@ -288,34 +326,34 @@ impl AbstractChain {
     pub fn allocate_as(&mut self, index: usize, time: Time) {
         debug_assert!(index < self.capacity);
         debug_assert!(!self.is_allocated(index));
-        self.seq.push((index, time));
+        self.seq.push((index, time, 0));
     }
 
-    /// Model `rejuvenate`.
-    pub fn rejuvenate(&mut self, index: usize, time: Time) {
+    /// Model `rejuvenate_into`.
+    pub fn rejuvenate_into(&mut self, index: usize, list: usize, time: Time) {
         let pos = self
             .seq
             .iter()
-            .position(|&(i, _)| i == index)
+            .position(|&(i, _, _)| i == index)
             .expect("rejuvenate of unallocated index");
         self.seq.remove(pos);
-        self.seq.push((index, time));
+        self.seq.push((index, time, list));
     }
 
-    /// Model `expire_one`.
+    /// Model `expire_one`: the head of list 0.
     pub fn expire_one(&mut self, threshold: Time) -> Option<usize> {
-        match self.seq.first() {
-            Some(&(i, t)) if t <= threshold => {
-                self.seq.remove(0);
-                Some(i)
-            }
-            _ => None,
+        let pos = self.seq.iter().position(|&(_, _, l)| l == 0)?;
+        let (i, t, _) = self.seq[pos];
+        if t > threshold {
+            return None;
         }
+        self.seq.remove(pos);
+        Some(i)
     }
 
     /// Model `free_index`.
     pub fn free_index(&mut self, index: usize) -> bool {
-        match self.seq.iter().position(|&(i, _)| i == index) {
+        match self.seq.iter().position(|&(i, _, _)| i == index) {
             Some(pos) => {
                 self.seq.remove(pos);
                 true
@@ -335,20 +373,29 @@ pub struct CheckedChain {
 impl CheckedChain {
     /// Preallocate, like [`DoubleChain::new`].
     pub fn new(capacity: usize) -> Self {
+        CheckedChain::with_lists(capacity, 1)
+    }
+
+    /// Preallocate, like [`DoubleChain::with_lists`].
+    pub fn with_lists(capacity: usize, lists: usize) -> Self {
         CheckedChain {
-            imp: DoubleChain::new(capacity),
+            imp: DoubleChain::with_lists(capacity, lists),
             model: AbstractChain::new(capacity),
+        }
+    }
+
+    fn require_monotone(&self, list: usize, time: Time) {
+        if let Some(mx) = self.model.max_timestamp(list) {
+            assert!(
+                time >= mx,
+                "dchain precondition: time monotonicity violated on list {list}"
+            );
         }
     }
 
     /// Contract-checked `allocate`.
     pub fn allocate(&mut self, time: Time) -> Result<usize, Full> {
-        if let Some(mx) = self.model.max_timestamp() {
-            assert!(
-                time >= mx,
-                "dchain.allocate precondition: time monotonicity violated"
-            );
-        }
+        self.require_monotone(0, time);
         let r = self.imp.allocate(time);
         match r {
             Ok(i) => {
@@ -367,21 +414,28 @@ impl CheckedChain {
         r
     }
 
-    /// Contract-checked `rejuvenate`.
+    /// Contract-checked `rejuvenate` (stays on the index's own list).
     pub fn rejuvenate(&mut self, index: usize, time: Time) -> bool {
-        let was = self.model.is_allocated(index);
-        if was {
-            if let Some(mx) = self.model.max_timestamp() {
-                assert!(
-                    time >= mx,
-                    "dchain.rejuvenate precondition: time monotonicity"
-                );
+        match self.imp.list_of(index) {
+            Some(list) => self.rejuvenate_into(index, list, time),
+            None => {
+                assert!(!self.model.is_allocated(index), "allocation diverged");
+                assert!(!self.imp.rejuvenate(index, time));
+                false
             }
         }
-        let r = self.imp.rejuvenate(index, time);
+    }
+
+    /// Contract-checked `rejuvenate_into`.
+    pub fn rejuvenate_into(&mut self, index: usize, list: usize, time: Time) -> bool {
+        let was = self.model.is_allocated(index);
+        if was {
+            self.require_monotone(list, time);
+        }
+        let r = self.imp.rejuvenate_into(index, list, time);
         assert_eq!(r, was, "rejuvenate result diverged from model");
         if was {
-            self.model.rejuvenate(index, time);
+            self.model.rejuvenate_into(index, list, time);
         }
         self.check_equiv();
         r
@@ -417,19 +471,19 @@ impl CheckedChain {
         &self.imp
     }
 
-    /// Full refinement check: identical LRU sequences, and the model's
-    /// timestamps are non-decreasing (the LRU invariant).
+    /// Full refinement check: each list equals the model's sequence
+    /// filtered by that list's tag, and its timestamps are non-decreasing
+    /// (the LRU invariant).
     pub fn check_equiv(&self) {
-        let imp_seq: Vec<(usize, Time)> = self.imp.iter_lru().collect();
-        assert_eq!(imp_seq.as_slice(), self.model.seq(), "LRU order diverged");
         assert_eq!(self.imp.size(), self.model.len());
-        let mut prev = Time::ZERO;
-        for &(_, t) in self.model.seq() {
+        for list in 0..self.imp.lists() {
+            let imp_seq: Vec<(usize, Time)> = self.imp.iter_list(list).collect();
+            let model_seq = self.model.list_seq(list);
+            assert_eq!(imp_seq, model_seq, "list {list} diverged from the model");
             assert!(
-                t >= prev,
-                "LRU invariant broken: timestamps must be non-decreasing"
+                model_seq.windows(2).all(|w| w[0].1 <= w[1].1),
+                "LRU invariant broken: list {list} timestamps must be non-decreasing"
             );
-            prev = t;
         }
     }
 }
@@ -515,41 +569,85 @@ mod tests {
         let a = c.allocate(Time(5)).unwrap();
         assert_eq!(c.raw().timestamp_of(a), Some(Time(5)));
         assert_eq!(c.raw().timestamp_of(1 - a), None);
-        assert_eq!(c.raw().oldest_timestamp(), Some(Time(5)));
+        assert_eq!(c.raw().head(0), Some((a, Time(5))));
+    }
+
+    #[test]
+    fn lists_expire_and_iterate_independently() {
+        let mut c = CheckedChain::with_lists(4, 3);
+        let a = c.allocate(Time(1)).unwrap();
+        let b = c.allocate(Time(2)).unwrap();
+        let d = c.allocate(Time(3)).unwrap();
+        // Move `a` to list 2 keeping its stamp, `b` to list 1 refreshed.
+        assert!(c.rejuvenate_into(a, 2, Time(1)));
+        assert!(c.rejuvenate_into(b, 1, Time(4)));
+        assert_eq!(c.raw().list_of(a), Some(2));
+        assert_eq!(c.raw().head(0), Some((d, Time(3))));
+        assert_eq!(c.raw().head(1), Some((b, Time(4))));
+        // expire_one only looks at list 0.
+        assert_eq!(c.expire_one(Time(2)), None);
+        assert_eq!(c.expire_one(Time(3)), Some(d));
+        let all: Vec<usize> = c.raw().iter_lru().map(|(i, _)| i).collect();
+        assert_eq!(all, vec![b, a], "list by list, oldest first");
+        // `rejuvenate` keeps an index on its own list.
+        assert!(c.rejuvenate(a, Time(5)));
+        assert_eq!(c.raw().list_of(a), Some(2));
     }
 
     #[derive(Debug, Clone)]
     enum Op {
         Allocate,
         Rejuvenate(usize),
+        Relink(usize, usize),
         ExpireOne(u64),
         Free(usize),
     }
 
-    fn op_strategy(cap: usize) -> impl Strategy<Value = Op> {
+    fn op_strategy(cap: usize, lists: usize) -> impl Strategy<Value = Op> {
         prop_oneof![
             Just(Op::Allocate),
             (0..cap).prop_map(Op::Rejuvenate),
+            (0..cap, 0..lists).prop_map(|(i, l)| Op::Relink(i, l)),
             (0u64..16).prop_map(Op::ExpireOne),
             (0..cap).prop_map(Op::Free),
         ]
     }
 
-    proptest! {
-        /// Random op sequences with a monotone clock refine the model.
-        #[test]
-        fn random_ops_refine_model(ops in proptest::collection::vec(op_strategy(5), 0..200)) {
-            let mut c = CheckedChain::new(5);
-            let mut now = Time::ZERO;
-            for op in ops {
-                now = now.plus(1); // strictly monotone clock
-                match op {
-                    Op::Allocate => { let _ = c.allocate(now); }
-                    Op::Rejuvenate(i) => { c.rejuvenate(i, now); }
-                    Op::ExpireOne(back) => { c.expire_one(now.minus(back)); }
-                    Op::Free(i) => { c.free_index(i); }
+    fn run_ops(lists: usize, ops: Vec<Op>) {
+        let mut c = CheckedChain::with_lists(5, lists);
+        let mut now = Time::ZERO;
+        for op in ops {
+            now = now.plus(1); // strictly monotone clock
+            match op {
+                Op::Allocate => {
+                    let _ = c.allocate(now);
+                }
+                Op::Rejuvenate(i) => {
+                    c.rejuvenate(i, now);
+                }
+                Op::Relink(i, l) => {
+                    c.rejuvenate_into(i, l, now);
+                }
+                Op::ExpireOne(back) => {
+                    c.expire_one(now.minus(back));
+                }
+                Op::Free(i) => {
+                    c.free_index(i);
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// Random op sequences with a monotone clock refine the model,
+        /// on the single-list chain and on a three-list one.
+        #[test]
+        fn random_ops_refine_model(
+            single in proptest::collection::vec(op_strategy(5, 1), 0..200),
+            multi in proptest::collection::vec(op_strategy(5, 3), 0..200),
+        ) {
+            run_ops(1, single);
+            run_ops(3, multi);
         }
 
         /// After expiring exhaustively at threshold T, every surviving

@@ -6,6 +6,9 @@
 //! paper's Fig. 6 (`expire_flows(t)`), with
 //! `threshold = now - Texp` ⟺ `G.timestamp + Texp <= now`.
 //!
+//! `expire_items_classed` is the same walk under per-class lifetimes,
+//! over a chain that keeps one list per class: it merges the list heads.
+//!
 //! Contract: afterwards, (a) every surviving chain timestamp is
 //! `> threshold`, (b) chain and map agree on exactly which indices are
 //! live, and (c) the number of removed items is returned. The glue has
@@ -17,10 +20,10 @@
 use crate::dchain::DoubleChain;
 use crate::dmap::{DmapValue, DoubleMap};
 use crate::time::Time;
-use crate::wheel::TimerWheel;
 
-/// Expire every index whose timestamp is `<= threshold`, erasing both
-/// the chain entry and the map slot. Returns how many were expired.
+/// Expire every index on list 0 whose timestamp is `<= threshold`,
+/// erasing both the chain entry and the map slot. Returns how many were
+/// expired.
 pub fn expire_items<V: DmapValue + Clone>(
     chain: &mut DoubleChain,
     map: &mut DoubleMap<V>,
@@ -38,161 +41,52 @@ pub fn expire_items<V: DmapValue + Clone>(
     count
 }
 
-/// Expire every index whose deadline is `<= threshold`, driven by the
-/// [`TimerWheel`] instead of the chain's LRU walk: pop due indices off
-/// the wheel, free each from the chain, erase its map slot.
+/// Expire under **per-class lifetimes** from a chain holding one list
+/// per class: an index on list `l` stamped `ts` is dead once
+/// `ts + lifetimes[l] <= now`.
 ///
-/// Same contract as [`expire_items`], plus exact-order agreement: the
-/// wheel's drain order equals the chain's LRU expiry order (the
-/// module-level order theorem in [`crate::wheel`]), and
-/// [`DoubleChain::free_index`] pushes a freed index onto the free list
-/// exactly as [`DoubleChain::expire_one`] would — so the post-states
-/// of the two drains are identical, free-list order included. The
-/// `debug_assert`s here pin that agreement on every pop; the
-/// differential suites prove it end to end.
-pub fn expire_items_wheel<V: DmapValue + Clone>(
-    wheel: &mut TimerWheel,
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    threshold: Time,
-) -> usize {
-    let mut count = 0;
-    while let Some(index) = wheel.pop_expired(threshold) {
-        debug_assert_eq!(
-            chain.oldest_timestamp(),
-            chain.timestamp_of(index),
-            "wheel/chain coherence: popped index {index} is not the LRU head's stamp"
-        );
-        debug_assert!(
-            chain.timestamp_of(index).is_some_and(|t| t <= threshold),
-            "wheel/chain coherence: popped index {index} is not due on the chain"
-        );
-        let freed = chain.free_index(index);
-        debug_assert!(freed, "wheel/chain coherence: index {index} not allocated");
-        let erased = map.erase(index);
-        debug_assert!(
-            erased.is_some(),
-            "wheel/map coherence: expired index {index} had no map slot"
-        );
-        count += 1;
-    }
-    count
-}
-
-/// Expire under **per-class lifetimes** by scanning the chain's LRU
-/// list: a flow of class `classes[slot]` stamped `ts` is dead once
-/// `ts + lifetimes[class] <= now`. Due flows are freed in the canonical
-/// merge order — ascending `(deadline, class, LRU position)` — which
-/// [`expire_items_wheels`] reproduces exactly, so the two engines leave
-/// byte-identical chain state (free-list order, hence future slot and
-/// port assignment, included), mirroring the single-lifetime
-/// [`expire_items`]/[`expire_items_wheel`] pair.
-///
-/// Note that with all lifetimes equal this does **not** reduce to
-/// [`expire_items`]: equal-deadline ties across classes break by class
-/// rank here, by global LRU order there. Callers therefore keep the
-/// single-lifetime engines for homogeneous configurations and use the
-/// classed engines only when lifetimes actually differ (the flow
-/// manager does exactly this).
+/// Each list has a single lifetime, so its LRU order is its deadline
+/// order and its due indices form a prefix. A head merge therefore
+/// frees every due index in ascending `(deadline, list, LRU position)`
+/// order: while some head is due, free the head with the smallest
+/// `(deadline, list)`. That order fixes the free list, hence future
+/// slot and port assignment. Costs O(lists · (expired + 1)), with no
+/// allocation.
 pub fn expire_items_classed<V: DmapValue + Clone>(
     chain: &mut DoubleChain,
     map: &mut DoubleMap<V>,
-    classes: &[u8],
     lifetimes: &[u64],
     now: Time,
 ) -> usize {
-    let mut due: Vec<(u64, u8, usize)> = Vec::new();
-    for (slot, stamp) in chain.iter_lru() {
-        let class = classes[slot];
-        let lifetime = lifetimes[usize::from(class)];
-        // checked_add: a deadline past u64::MAX can never be due.
-        if let Some(deadline) = stamp.nanos().checked_add(lifetime) {
-            if deadline <= now.nanos() {
-                due.push((deadline, class, slot));
+    debug_assert_eq!(chain.lists(), lifetimes.len());
+    let mut count = 0;
+    loop {
+        let mut due: Option<(u64, usize)> = None;
+        for (list, &lifetime) in lifetimes.iter().enumerate() {
+            let Some((slot, stamp)) = chain.head(list) else {
+                continue;
+            };
+            // checked_add: a deadline past u64::MAX can never be due.
+            match stamp.nanos().checked_add(lifetime) {
+                Some(deadline)
+                    if deadline <= now.nanos() && due.is_none_or(|(d, _)| deadline < d) =>
+                {
+                    due = Some((deadline, slot));
+                }
+                _ => {}
             }
         }
-    }
-    // Stable by (deadline, class): each class's subsequence keeps its
-    // LRU order — exactly the per-class wheel pop order.
-    due.sort_by_key(|&(deadline, class, _)| (deadline, class));
-    for &(_, _, slot) in &due {
-        let freed = chain.free_index(slot);
-        debug_assert!(freed, "classed expiry: slot {slot} not allocated");
+        let Some((_, slot)) = due else {
+            return count;
+        };
+        chain.free_index(slot);
         let erased = map.erase(slot);
         debug_assert!(
             erased.is_some(),
             "chain/map coherence: expired slot {slot} had no map slot"
         );
+        count += 1;
     }
-    due.len()
-}
-
-/// Per-class-lifetime expiry driven by **one [`TimerWheel`] per class**,
-/// each keyed by last-activity stamp: class `c` is due once its stamp
-/// is `<= now - lifetimes[c]`. Pops of all classes are merged in
-/// ascending `(deadline, class, within-class pop order)` before any
-/// slot is freed, which — because each wheel's pop order equals its
-/// class's LRU subsequence — is byte-identical to
-/// [`expire_items_classed`], free-list order included. `wheels[c]` must
-/// be armed with exactly the allocated slots of class `c`.
-pub fn expire_items_wheels<V: DmapValue + Clone>(
-    wheels: &mut [TimerWheel],
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    lifetimes: &[u64],
-    now: Time,
-) -> usize {
-    debug_assert_eq!(wheels.len(), lifetimes.len());
-    let mut due: Vec<(u64, u8, usize)> = Vec::new();
-    for (class, wheel) in wheels.iter_mut().enumerate() {
-        let lifetime = lifetimes[class];
-        // checked_sub: while now < lifetime nothing of this class can
-        // have expired yet (the spec's expiry_threshold_for shape).
-        let Some(threshold) = now.nanos().checked_sub(lifetime) else {
-            continue;
-        };
-        while let Some(slot) = wheel.pop_expired(Time::ZERO.plus(threshold)) {
-            let stamp = chain
-                .timestamp_of(slot)
-                .expect("wheel/chain coherence: popped slot not allocated");
-            // No overflow: stamp <= threshold = now - lifetime.
-            due.push((stamp.nanos() + lifetime, class as u8, slot));
-        }
-    }
-    due.sort_by_key(|&(deadline, class, _)| (deadline, class));
-    for &(_, _, slot) in &due {
-        let freed = chain.free_index(slot);
-        debug_assert!(freed, "classed expiry: slot {slot} not allocated");
-        let erased = map.erase(slot);
-        debug_assert!(
-            erased.is_some(),
-            "wheel/map coherence: expired slot {slot} had no map slot"
-        );
-    }
-    due.len()
-}
-
-/// Expire at most `limit` items (some NFs bound per-packet expiry work to
-/// keep worst-case latency flat; VigNAT expires exhaustively, which is
-/// why its probe-flow latency stays flat only while expiry is cheap).
-pub fn expire_items_bounded<V: DmapValue + Clone>(
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    threshold: Time,
-    limit: usize,
-) -> usize {
-    let mut count = 0;
-    while count < limit {
-        match chain.expire_one(threshold) {
-            Some(index) => {
-                let erased = map.erase(index);
-                debug_assert!(erased.is_some(), "chain/map coherence violated");
-                count += 1;
-            }
-            None => break,
-        }
-    }
-    count
 }
 
 #[cfg(test)]
@@ -252,21 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_expiry_stops_at_limit() {
-        let mut chain = DoubleChain::new(8);
-        let mut map: DoubleMap<Item> = DoubleMap::new(8);
-        for i in 0..6 {
-            insert(&mut chain, &mut map, i, Time::from_secs(i));
-        }
-        let n = expire_items_bounded(&mut chain, &mut map, Time::from_secs(100), 4);
-        assert_eq!(n, 4);
-        assert_eq!(map.size(), 2);
-        // and the survivors are the freshest two (LRU order respected)
-        assert!(map.get_by_a(&4).is_some());
-        assert!(map.get_by_a(&5).is_some());
-    }
-
-    #[test]
     fn expired_slots_are_immediately_reusable() {
         let mut chain = DoubleChain::new(2);
         let mut map: DoubleMap<Item> = DoubleMap::new(2);
@@ -281,87 +160,55 @@ mod tests {
         assert!(chain.is_full());
     }
 
-    proptest! {
-        /// The wheel-driven drain is byte-identical to the scan drain:
-        /// same expired count, same surviving LRU sequence, same map
-        /// contents — and the same *free-list order*, observed by
-        /// draining both chains through fresh allocations afterwards
-        /// (this is what makes wheel mode reuse ports in the exact
-        /// sequence scan mode would).
-        #[test]
-        fn wheel_drain_equals_scan_drain(
-            stamps in proptest::collection::vec(0u64..60, 1..28),
-            rejuv in proptest::collection::vec((0usize..28, 0u64..60), 0..16),
-            thr in 0u64..80,
-        ) {
-            let cap = 32;
-            let mut chain_s = DoubleChain::new(cap);
-            let mut map_s: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut chain_w = DoubleChain::new(cap);
-            let mut map_w: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut wheel = crate::wheel::TimerWheel::new(cap);
-
-            let mut sorted = stamps;
-            sorted.sort_unstable();
-            let mut clock = 0u64;
-            for (i, s) in sorted.iter().enumerate() {
-                clock = clock.max(*s);
-                let t = Time::from_secs(clock);
-                let a = insert(&mut chain_s, &mut map_s, i as u64, t);
-                let b = insert(&mut chain_w, &mut map_w, i as u64, t);
-                prop_assert_eq!(a, b);
-                wheel.insert(b, t);
-            }
-            // A monotone rejuvenation storm (the refresh path).
-            for (pick, bump) in rejuv {
-                if pick < sorted.len() && chain_s.is_allocated(pick) {
-                    clock += bump;
-                    let t = Time::from_secs(clock);
-                    chain_s.rejuvenate(pick, t);
-                    chain_w.rejuvenate(pick, t);
-                    wheel.refresh(pick, t);
+    /// The reference for [`expire_items_classed`]: the full-list scan
+    /// over a single-list chain, `classes[slot]` giving each slot's
+    /// class. Collects every due slot, then frees them sorted by
+    /// `(deadline, class)`; the stable sort keeps each class's due slots
+    /// in LRU order.
+    fn expire_items_classed_scan(
+        chain: &mut DoubleChain,
+        map: &mut DoubleMap<Item>,
+        classes: &[usize],
+        lifetimes: &[u64],
+        now: Time,
+    ) -> usize {
+        let mut due: Vec<(u64, usize, usize)> = Vec::new();
+        for (slot, stamp) in chain.iter_lru() {
+            let class = classes[slot];
+            if let Some(deadline) = stamp.nanos().checked_add(lifetimes[class]) {
+                if deadline <= now.nanos() {
+                    due.push((deadline, class, slot));
                 }
             }
-
-            let thr_t = Time::from_secs(thr);
-            let n_scan = expire_items(&mut chain_s, &mut map_s, thr_t);
-            let n_wheel = expire_items_wheel(&mut wheel, &mut chain_w, &mut map_w, thr_t);
-            prop_assert_eq!(n_scan, n_wheel);
-            let lru_s: Vec<_> = chain_s.iter_lru().collect();
-            let lru_w: Vec<_> = chain_w.iter_lru().collect();
-            prop_assert_eq!(lru_s, lru_w);
-            prop_assert_eq!(map_s.size(), map_w.size());
-            wheel.check_consistency();
-            // Free-list order: drain both chains dry and compare the
-            // allocation sequences.
-            let t_next = Time::from_secs(clock + 1);
-            loop {
-                let a = chain_s.allocate(t_next);
-                let b = chain_w.allocate(t_next);
-                prop_assert_eq!(&a, &b, "free-list order diverged");
-                if a.is_err() { break; }
-            }
         }
+        due.sort_by_key(|&(deadline, class, _)| (deadline, class));
+        for &(_, _, slot) in &due {
+            assert!(chain.free_index(slot));
+            assert!(map.erase(slot).is_some());
+        }
+        due.len()
+    }
 
-        /// The per-class engines agree byte for byte: same expired
-        /// count, same surviving LRU sequence, same map contents, and
-        /// the same free-list order — for arbitrary class assignments,
-        /// lifetime triples, rejuvenation storms, and thresholds.
+    proptest! {
+        /// Per-class lists with the head merge agree with the full-list
+        /// scan byte for byte: same expired count, each class's survivors
+        /// in the same order, same map contents, and the same free-list
+        /// order — for arbitrary class assignments, class migrations,
+        /// lifetime triples, rejuvenation storms, and expiry times.
         #[test]
-        fn classed_wheels_equal_classed_scan(
-            arrivals in proptest::collection::vec((0u64..60, 0u8..3), 1..28),
+        fn classed_lists_equal_classed_scan(
+            arrivals in proptest::collection::vec((0u64..60, 0usize..3), 1..28),
             rejuv in proptest::collection::vec((0usize..28, 0u64..60), 0..16),
+            moves in proptest::collection::vec(0usize..4, 16),
             lifetimes in (1u64..40, 1u64..40, 1u64..40),
             now in 0u64..120,
         ) {
             let cap = 32;
             let mut chain_s = DoubleChain::new(cap);
             let mut map_s: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut chain_w = DoubleChain::new(cap);
-            let mut map_w: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut wheels: Vec<crate::wheel::TimerWheel> =
-                (0..3).map(|_| crate::wheel::TimerWheel::new(cap)).collect();
-            let mut classes = vec![0u8; cap];
+            let mut chain_l = DoubleChain::with_lists(cap, 3);
+            let mut map_l: DoubleMap<Item> = DoubleMap::new(cap);
+            let mut classes = vec![0usize; cap];
 
             let mut sorted = arrivals;
             sorted.sort_unstable_by_key(|&(s, _)| s);
@@ -370,42 +217,48 @@ mod tests {
                 clock = clock.max(s);
                 let t = Time::from_secs(clock);
                 let a = insert(&mut chain_s, &mut map_s, i as u64, t);
-                let b = insert(&mut chain_w, &mut map_w, i as u64, t);
+                let b = insert(&mut chain_l, &mut map_l, i as u64, t);
                 prop_assert_eq!(a, b);
                 classes[b] = class;
-                wheels[class as usize].insert(b, t);
+                prop_assert!(chain_l.rejuvenate_into(b, class, t));
             }
-            for (pick, bump) in rejuv {
+            // A monotone rejuvenation storm; a move below 3 migrates the
+            // refreshed slot to that class.
+            for ((pick, bump), mv) in rejuv.into_iter().zip(moves) {
                 if pick < sorted.len() && chain_s.is_allocated(pick) {
                     clock += bump;
                     let t = Time::from_secs(clock);
+                    if mv < 3 {
+                        classes[pick] = mv;
+                    }
                     chain_s.rejuvenate(pick, t);
-                    chain_w.rejuvenate(pick, t);
-                    wheels[classes[pick] as usize].refresh(pick, t);
+                    chain_l.rejuvenate_into(pick, classes[pick], t);
                 }
             }
 
             let lifetimes_ns: Vec<u64> = [lifetimes.0, lifetimes.1, lifetimes.2]
                 .iter().map(|l| Time::from_secs(*l).nanos()).collect();
             let now_t = Time::from_secs(now);
-            let n_scan = expire_items_classed(
+            let n_scan = expire_items_classed_scan(
                 &mut chain_s, &mut map_s, &classes, &lifetimes_ns, now_t);
-            let n_wheel = expire_items_wheels(
-                &mut wheels, &mut chain_w, &mut map_w, &lifetimes_ns, now_t);
-            prop_assert_eq!(n_scan, n_wheel);
-            let lru_s: Vec<_> = chain_s.iter_lru().collect();
-            let lru_w: Vec<_> = chain_w.iter_lru().collect();
-            prop_assert_eq!(lru_s, lru_w);
-            prop_assert_eq!(map_s.size(), map_w.size());
-            for w in &wheels {
-                w.check_consistency();
+            let n_lists = expire_items_classed(
+                &mut chain_l, &mut map_l, &lifetimes_ns, now_t);
+            prop_assert_eq!(n_scan, n_lists);
+            for class in 0..3 {
+                let scan: Vec<_> = chain_s
+                    .iter_lru()
+                    .filter(|&(slot, _)| classes[slot] == class)
+                    .collect();
+                let list: Vec<_> = chain_l.iter_list(class).collect();
+                prop_assert_eq!(scan, list, "class {} survivors diverged", class);
             }
+            prop_assert_eq!(map_s.size(), map_l.size());
             // Free-list order: drain both chains dry and compare the
             // allocation sequences (this is what pins port-reuse order).
             let t_next = Time::from_secs(clock + 1);
             loop {
                 let a = chain_s.allocate(t_next);
-                let b = chain_w.allocate(t_next);
+                let b = chain_l.allocate(t_next);
                 prop_assert_eq!(&a, &b, "free-list order diverged");
                 if a.is_err() { break; }
             }

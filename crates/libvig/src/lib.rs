@@ -11,15 +11,14 @@
 //! |--------|-----------|-------------------|
 //! | [`map`] | open-addressing hash map with probe-chain counters; single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_batch_with_hash` burst probe | `map.c` / `map.h` |
 //! | [`dmap`] | double-keyed map over preallocated value slots; `get_by_*_with_hash`, `put_with_hash`, batched `lookup_batch` | the flow table (`double-map.c`) |
-//! | [`dchain`] | index allocator with LRU timestamp order | `double-chain.c` (expirator substrate) |
+//! | [`dchain`] | index allocator with LRU timestamp order, one list per timeout class | `double-chain.c` (expirator substrate) |
 //! | [`vector`] | preallocated value vector | `vector.c` |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |
 //! | [`spsc`] | lock-free bounded SPSC word ring (shard-runtime queues) | DPDK `rte_ring` (SP/SC mode) |
 //! | [`batcher`] | bounded item batcher | `batcher.c` |
 //! | [`port_alloc`] | standalone port allocator | port allocator |
 //! | [`rss`] | RSS-style hash→shard routing + batched-probe splitter | NIC receive-side scaling |
-//! | [`expirator`] | dchain+dmap glue that expires old flows | `expirator.c` |
-//! | [`wheel`] | hierarchical timer wheel (O(1) expiry at any scale), proven ≡ the scan drain | Varghese–Lauck wheel behind `expirator.c`'s seam |
+//! | [`expirator`] | dchain+dmap glue that expires old flows (per-class: a merge of list heads) | `expirator.c` |
 //! | [`time`] | time abstraction (virtual + system clocks) | `nf_time` |
 //! | [`flow`] | NAT flow key hashing | `flow.h` |
 //!
@@ -74,7 +73,6 @@ pub mod rss;
 pub mod spsc;
 pub mod time;
 pub mod vector;
-pub mod wheel;
 
 pub use batcher::Batcher;
 pub use dchain::DoubleChain;
@@ -84,7 +82,6 @@ pub use port_alloc::PortAllocator;
 pub use ring::Ring;
 pub use time::{Clock, SystemClock, Time, VirtualClock};
 pub use vector::Vector;
-pub use wheel::TimerWheel;
 
 /// Error returned by operations whose contract precondition "capacity not
 /// exhausted" does not hold. These are *not* contract violations: the NF is

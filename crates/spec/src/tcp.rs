@@ -61,7 +61,7 @@ impl TcpState {
 }
 
 /// Which timeout a flow's next expiry uses. Ordered so it can index
-/// per-class structures (wheels) densely.
+/// per-class structures (the dchain's expiry lists) densely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeoutClass {
     /// UDP flows: the paper's single `Texp`.

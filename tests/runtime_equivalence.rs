@@ -341,10 +341,10 @@ fn flow_frame(i: u32) -> Vec<u8> {
 /// plus a margin, so TableFull parity is exercised at the full
 /// million-flow table — with distinct arrivals; phase 2 is sustained
 /// churn: random arrivals/refreshes from a larger population with
-/// Texp-crossing time jumps forcing mass wheel expiry, verdicts and
+/// Texp-crossing time jumps forcing mass expiry, verdicts and
 /// frame bytes compared every round and per-flow TX bytes, full LRU
-/// state, and expiry totals at session end. This is the timer-wheel
-/// satellite of `wheel_equivalence.rs` driven through the real
+/// state, and expiry totals at session end. This is the expiry
+/// satellite of `expiry_equivalence.rs` driven through the real
 /// datapath (SPSC rings, burst envs, RSS dispatch) rather than the
 /// table API. Release-only by size: the `nightly-deep` CI job runs it
 /// with `--release -- --ignored million`.
@@ -377,7 +377,7 @@ fn sustained_million_flow_churn_session() {
                 } else {
                     // Churn: arrivals/refreshes from a 1.5M-flow
                     // population; every 150th round jumps past Texp so
-                    // the wheel drains en masse while new flows keep
+                    // the table drains en masse while new flows keep
                     // arriving.
                     let frames = (0..BURST)
                         .map(|_| flow_frame(rng.gen_range(0..1_500_000u32)))
