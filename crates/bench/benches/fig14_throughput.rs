@@ -39,19 +39,24 @@
 //! Run: `cargo bench -p vig-bench --bench fig14_throughput`
 
 use libvig::time::Time;
+use netsim::backend::SimBackend;
 use netsim::eventloop::event_driven_service_times;
+use netsim::frame_env::RssClassifier;
 use netsim::harness::{
     parallel_scaling_curve, search_rate_filtered, search_rate_with_ci, sharded_throughput_sweep,
     steady_state_service_times, steady_state_service_times_batched, LatencySamples, RateEstimate,
     Testbed,
 };
-use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
+use netsim::middlebox::{
+    Middlebox, NoopForwarder, ShardedVigNatMb, SystemClockMb, Verdict, VigNatMb,
+};
+use netsim::tester::FlowGen;
 use std::hint::black_box;
 use std::time::Instant;
 use vig_baselines::{NetfilterNat, UnverifiedNat};
 use vig_bench::{flow_sweep, print_table, throughput_packets, write_result_json};
 use vig_packet::builder::PacketBuilder;
-use vig_packet::{Direction, Ip4};
+use vig_packet::{Direction, Ip4, Proto};
 use vig_spec::NatConfig;
 
 fn cfg() -> NatConfig {
@@ -410,14 +415,14 @@ fn main() {
     let mq_flows = (cfg().capacity as f64 * occupancy) as usize;
     let mut mq_points = Vec::new();
     for &(queues, shards) in &mq_combos {
-        let svc = event_driven_service_times(
-            &cfg(),
-            queues,
-            shards,
+        let mut nf = ShardedVigNatMb::sharded(cfg(), shards);
+        let (svc, _io) = event_driven_service_times(
+            SimBackend::new(RssClassifier::for_nat(&cfg(), queues), 512),
+            &mut nf,
+            &FlowGen::new(Proto::Udp),
             mq_flows,
             throughput_packets() / 4,
             Time::from_secs(60).nanos(),
-            512,
         );
         let (mpps, mean, rejected) = search_rate_filtered(&svc, 512);
         mq_points.push((queues, shards, mpps, mean, rejected));

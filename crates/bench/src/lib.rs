@@ -106,10 +106,11 @@ pub fn measure_fault_overhead(
     packets: usize,
 ) -> FaultOverhead {
     use netsim::backend::{FaultIo, FaultPlan, SimBackend};
-    use netsim::eventloop::event_driven_service_times_on;
+    use netsim::eventloop::event_driven_service_times;
     use netsim::frame_env::RssClassifier;
     use netsim::harness::search_rate_filtered;
     use netsim::middlebox::ShardedVigNatMb;
+    use netsim::tester::FlowGen;
 
     // Small flow working set, deliberately: a cache-resident baseline
     // is the *strictest* setting for a relative overhead gate (the
@@ -123,28 +124,37 @@ pub fn measure_fault_overhead(
         svc.ns.sort_unstable();
         (mpps, svc.ns[svc.ns.len() / 2] as f64)
     };
+    let gen = FlowGen::new(vig_packet::Proto::Udp);
     let run_bare = |_: usize| {
         let mut nf = ShardedVigNatMb::sharded(*cfg, 2);
-        stats_of(event_driven_service_times_on(
-            SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
-            &mut nf,
-            flows,
-            packets,
-            cfg.expiry_ns,
-        ))
+        stats_of(
+            event_driven_service_times(
+                SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
+                &mut nf,
+                &gen,
+                flows,
+                packets,
+                cfg.expiry_ns,
+            )
+            .0,
+        )
     };
     let run_wrapped = |_: usize| {
         let mut nf = ShardedVigNatMb::sharded(*cfg, 2);
-        stats_of(event_driven_service_times_on(
-            FaultIo::new(
-                SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
-                FaultPlan::none(),
-            ),
-            &mut nf,
-            flows,
-            packets,
-            cfg.expiry_ns,
-        ))
+        stats_of(
+            event_driven_service_times(
+                FaultIo::new(
+                    SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
+                    FaultPlan::none(),
+                ),
+                &mut nf,
+                &gen,
+                flows,
+                packets,
+                cfg.expiry_ns,
+            )
+            .0,
+        )
     };
     let mut bare_rates = Vec::with_capacity(trials);
     let mut fault_rates = Vec::with_capacity(trials);

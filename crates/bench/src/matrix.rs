@@ -8,7 +8,7 @@
 //!
 //! Every cell drives the same sharded NAT through the same
 //! event-driven RFC 2544 measurement loop
-//! ([`netsim::eventloop::event_driven_service_times_gen`]); only the
+//! ([`netsim::eventloop::event_driven_service_times`]); only the
 //! cell's coordinates change. The TCP/UDP-mix axis routes flows
 //! through the per-class expiry lists (TCP flows carry distinct
 //! transitory/established lifetimes in the cell config), so a new
@@ -27,7 +27,7 @@
 //! cell's rate against a committed run.
 
 use netsim::backend::{FaultIo, FaultPlan, SimBackend};
-use netsim::eventloop::event_driven_service_times_gen;
+use netsim::eventloop::event_driven_service_times;
 use netsim::frame_env::RssClassifier;
 use netsim::harness::{search_rate_with_ci, RateEstimate};
 use netsim::middlebox::ShardedVigNatMb;
@@ -146,26 +146,13 @@ fn measure_cell(
     let gen = FlowGen::mixed(tcp_permille);
     let texp = cfg.min_lifetime_ns();
     let mut nf = ShardedVigNatMb::sharded(cfg, shards);
+    let sim = SimBackend::new(RssClassifier::for_nat(&cfg, queues), 512);
     let svc = match backend {
-        "sim" => event_driven_service_times_gen(
-            SimBackend::new(RssClassifier::for_nat(&cfg, queues), 512),
-            &mut nf,
-            &gen,
-            flows,
-            packets,
-            texp,
-        ),
-        "faultio" => event_driven_service_times_gen(
-            FaultIo::new(
-                SimBackend::new(RssClassifier::for_nat(&cfg, queues), 512),
-                FaultPlan::none(),
-            ),
-            &mut nf,
-            &gen,
-            flows,
-            packets,
-            texp,
-        ),
+        "sim" => event_driven_service_times(sim, &mut nf, &gen, flows, packets, texp).0,
+        "faultio" => {
+            let io = FaultIo::new(sim, FaultPlan::none());
+            event_driven_service_times(io, &mut nf, &gen, flows, packets, texp).0
+        }
         other => unreachable!("unknown backend axis value {other}"),
     };
     let est = search_rate_with_ci(&svc, 512);

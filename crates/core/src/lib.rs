@@ -78,7 +78,7 @@ pub use domain::{Concrete, Domain};
 pub use env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
 pub use flow_manager::{FlowManager, FlowTable};
 pub use loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome, MAX_BURST};
-pub use sharded::{QueueFed, ShardedFlowManager};
+pub use sharded::ShardedFlowManager;
 pub use simple_env::SimpleEnv;
 
 /// The NAT configuration — re-exported from the spec crate so that the

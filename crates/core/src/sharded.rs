@@ -48,8 +48,6 @@
 //! sizing consequences.
 
 use crate::flow_manager::{FlowManager, FlowTable};
-use crate::loop_body::IterationOutcome;
-use crate::simple_env::{RawRx, SimpleEnv};
 use libvig::rss::{shard_of, BatchSplit};
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4};
@@ -159,7 +157,7 @@ impl ShardedFlowManager {
     /// Which shard owns the pool endpoint `(ip, port)`, if any shard
     /// does: the endpoint's global slot ([`NatConfig::slot_of_endpoint`])
     /// divided by the per-shard capacity — the shared definition the
-    /// NIC classifier and queue-fed driver also use. `ip` must already
+    /// NIC classifier also uses. `ip` must already
     /// be canonicalized the way the loop body's external key is (the
     /// configured address for single-address pools).
     pub fn shard_of_endpoint(&self, ip: Ip4, port: u16) -> Option<usize> {
@@ -345,180 +343,6 @@ impl FlowTable for ShardedFlowManager {
     }
 }
 
-/// A queue-fed driver over the sharded table: the third way packets
-/// reach the verified loop body, next to per-packet [`SimpleEnv`]
-/// stepping and run-to-completion burst draining.
-///
-/// [`crate::nat_loop_iteration`] never sees a device — it sees
-/// [`crate::NatEnv`]. `QueueFed` models what an event-driven driver
-/// (netsim's `eventloop` over its multi-queue NIC model) delivers to
-/// that interface: **queue events**, each carrying one queue's burst at
-/// one arrival instant, with FIFO order guaranteed per queue and
-/// nothing guaranteed across queues. Every event becomes one (or more)
-/// [`crate::nat_process_batch`] drains of the very same loop body —
-/// the code path is identical whether packets arrive one at a time,
-/// as a staged burst, or as a queue event; only the feeding discipline
-/// differs. That is the invariant Panda et al.'s isolation argument
-/// needs: the per-flow state machine cannot tell which queue delivered
-/// the packet.
-///
-/// The driver-level obligations live here so every concrete event loop
-/// inherits them:
-///
-/// * **per-queue monotone clocks** — an event's `now` must not move
-///   backwards on its own queue (asserted), while sibling queues may
-///   run ahead or behind;
-/// * **one global NAT clock** — the loop body's `now` is the maximum
-///   arrival instant seen so far (a NAT has one clock; expiry is a
-///   function of time, not of queue interleaving);
-/// * **polling semantics** — an empty event still runs one (empty)
-///   burst, so expiry advances on idle queues exactly as a polling
-///   core's loop does.
-///
-/// Like the envs and `netsim`'s backend seam, the driver is generic
-/// over the [`FlowTable`] behind it — the sharded table by default,
-/// the unsharded [`FlowManager`] via [`QueueFed::unsharded`] (queue
-/// dispatch is a pure function of the packet and the queue count; the
-/// table's own layout never sees it).
-pub struct QueueFed<T: FlowTable = ShardedFlowManager> {
-    env: SimpleEnv<T>,
-    queue_clocks: Vec<Time>,
-    clock: Time,
-    cfg: NatConfig,
-    slots_per_queue: usize,
-    events: u64,
-}
-
-impl QueueFed {
-    /// A queue-fed NAT: `shards` table shards behind `queues` RX
-    /// queues. `queues == shards` makes queue dispatch and table
-    /// dispatch the same function (each queue carries exactly one
-    /// shard's subsequence); `queues > shards` nests queue groups
-    /// inside shards (the multiply-shift reduction is hierarchical).
-    pub fn new(cfg: &NatConfig, shards: usize, queues: usize) -> QueueFed {
-        QueueFed::over(SimpleEnv::sharded(*cfg, shards), cfg, queues)
-    }
-}
-
-impl QueueFed<FlowManager> {
-    /// A queue-fed NAT over the *unsharded* table: `queues` RX queues
-    /// all landing their events on one [`FlowManager`] — what a
-    /// multi-queue NIC in front of a single-table NF looks like.
-    /// Byte-for-byte equivalent to [`QueueFed::new`] with one shard
-    /// (proven in this module's tests, on top of the 1-shard ≡
-    /// unsharded equivalence of `tests/shard_equivalence.rs`).
-    pub fn unsharded(cfg: &NatConfig, queues: usize) -> QueueFed<FlowManager> {
-        QueueFed::over(SimpleEnv::new(*cfg), cfg, queues)
-    }
-}
-
-impl<T: FlowTable> QueueFed<T> {
-    /// Shared constructor: wrap an env with the queue-dispatch state.
-    fn over(env: SimpleEnv<T>, cfg: &NatConfig, queues: usize) -> QueueFed<T> {
-        assert!(queues > 0, "need at least one queue");
-        let slots_per_queue = cfg.capacity / queues;
-        assert!(slots_per_queue > 0, "more queues than slots");
-        QueueFed {
-            env,
-            queue_clocks: vec![Time::ZERO; queues],
-            clock: Time::ZERO,
-            cfg: *cfg,
-            slots_per_queue,
-            events: 0,
-        }
-    }
-
-    /// Number of RX queues feeding this NAT.
-    pub fn queue_count(&self) -> usize {
-        self.queue_clocks.len()
-    }
-
-    /// Queue events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events
-    }
-
-    /// The underlying env (state assertions, recorded events).
-    pub fn env(&self) -> &SimpleEnv<T> {
-        &self.env
-    }
-
-    /// The queue a packet's RSS classification steers it to — the
-    /// field-level twin of netsim's frame-level classifier: internal
-    /// traffic by [`shard_of`] over the flow-key hash, return traffic
-    /// by the endpoint partition (destination ip canonicalized exactly
-    /// as the loop body's external key: single-address pools route by
-    /// port alone), unroutable packets to queue 0 (they drop
-    /// identically everywhere).
-    pub fn queue_of(&self, raw: &RawRx) -> usize {
-        use libvig::map::MapKey;
-        match raw.dir {
-            Direction::Internal => match vig_packet::Proto::from_number(raw.proto) {
-                Some(proto) => {
-                    let fid = FlowId {
-                        src_ip: vig_packet::Ip4(raw.src_ip),
-                        src_port: raw.src_port,
-                        dst_ip: vig_packet::Ip4(raw.dst_ip),
-                        dst_port: raw.dst_port,
-                        proto,
-                    };
-                    shard_of(fid.key_hash(), self.queue_count())
-                }
-                None => 0,
-            },
-            Direction::External => {
-                let ip = if self.cfg.num_external_ips() == 1 {
-                    self.cfg.external_ip
-                } else {
-                    vig_packet::Ip4(raw.dst_ip)
-                };
-                self.cfg
-                    .slot_of_endpoint(ip, raw.dst_port)
-                    .filter(|&slot| slot < self.slots_per_queue * self.queue_count())
-                    .map(|slot| slot / self.slots_per_queue)
-                    .unwrap_or(0)
-            }
-        }
-    }
-
-    /// Deliver one queue event: `packets` arrived on `queue` at instant
-    /// `now` (every packet must classify to that queue — asserted, like
-    /// the parallel driver's dispatch check). Runs the verified batch
-    /// loop until the burst drains, plus one empty burst for the expiry
-    /// tick, and returns one outcome per packet in queue order.
-    pub fn on_event(
-        &mut self,
-        queue: usize,
-        now: Time,
-        packets: &[RawRx],
-    ) -> Vec<IterationOutcome> {
-        assert!(
-            self.queue_clocks[queue] <= now,
-            "queue {queue} clock must be monotone"
-        );
-        self.queue_clocks[queue] = now;
-        if now > self.clock {
-            self.clock = now;
-        }
-        self.env.set_time(self.clock);
-        for p in packets {
-            assert_eq!(self.queue_of(p), queue, "packet delivered on wrong queue");
-            self.env.inject(*p);
-        }
-        self.events += 1;
-        let mut out = Vec::with_capacity(packets.len());
-        loop {
-            let burst = self.env.run_burst();
-            let drained = burst.is_empty();
-            out.extend(burst);
-            if drained {
-                break;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,170 +520,5 @@ mod tests {
     #[should_panic(expected = "empty shards")]
     fn more_shards_than_capacity_is_rejected() {
         let _ = ShardedFlowManager::new(&cfg(4), 8);
-    }
-
-    fn raw(h: u8, port: u16) -> RawRx {
-        RawRx::well_formed(
-            Direction::Internal,
-            vig_packet::FlowFields {
-                src_ip: Ip4::new(192, 168, 0, h),
-                dst_ip: Ip4::new(8, 8, 8, 8),
-                src_port: port,
-                dst_port: 53,
-                proto: Proto::Udp,
-            },
-        )
-    }
-
-    #[test]
-    fn queue_fed_equals_sequential_per_flow() {
-        // queues == shards: a queue event per queue, interleaved in an
-        // order that differs from arrival order, must leave the same
-        // per-flow state and produce the same per-flow outcomes as the
-        // sequential env fed the packets in arrival order.
-        let c = cfg(64);
-        let mut qf = QueueFed::new(&c, 2, 2);
-        let mut seq = SimpleEnv::sharded(c, 2);
-        let packets: Vec<RawRx> = (0..24u8).map(|h| raw(h, 100 + u16::from(h % 3))).collect();
-        // Split by queue, preserving arrival order within each.
-        let mut by_queue: Vec<Vec<RawRx>> = vec![Vec::new(); 2];
-        for p in &packets {
-            by_queue[qf.queue_of(p)].push(*p);
-        }
-        let t = Time::from_secs(1);
-        // Deliver queue 1 first — the opposite of ascending order.
-        let out1 = qf.on_event(1, t, &by_queue[1]);
-        let out0 = qf.on_event(0, t, &by_queue[0]);
-        assert_eq!(out0.len() + out1.len(), packets.len());
-        // Sequential reference in arrival order.
-        seq.set_time(t);
-        for p in &packets {
-            seq.inject(*p);
-        }
-        let mut seq_out = Vec::new();
-        while seq_out.len() < packets.len() {
-            seq_out.extend(seq.run_burst());
-        }
-        // Outcome multisets per queue subsequence match the sequential
-        // outcomes of the same subsequence positions.
-        let mut i0 = 0;
-        let mut i1 = 0;
-        for (p, o) in packets.iter().zip(&seq_out) {
-            let got = if qf.queue_of(p) == 0 {
-                i0 += 1;
-                out0[i0 - 1]
-            } else {
-                i1 += 1;
-                out1[i1 - 1]
-            };
-            assert_eq!(got, *o, "outcome diverged for {p:?}");
-        }
-        // Per-flow state: every shard holds the same flows with the
-        // same slots/ports under both drivers (LRU order may differ
-        // across queues, never within a shard).
-        let a = qf.env().flow_manager().snapshot();
-        let b = seq.flow_manager().snapshot();
-        assert_eq!(a, b, "sharded state diverged");
-        qf.env().flow_manager().check_coherence().unwrap();
-    }
-
-    #[test]
-    fn queue_fed_unsharded_equals_one_shard_byte_for_byte() {
-        // The generic driver over the plain FlowManager is the same
-        // NAT as over a 1-shard table: identical outcomes, identical
-        // slots/ports/stamps, under an out-of-order event schedule.
-        let c = cfg(64);
-        let mut plain = QueueFed::unsharded(&c, 2);
-        let mut sharded = QueueFed::new(&c, 1, 2);
-        let packets: Vec<RawRx> = (0..24u8).map(|h| raw(h, 300 + u16::from(h % 5))).collect();
-        let mut by_queue: Vec<Vec<RawRx>> = vec![Vec::new(); 2];
-        for p in &packets {
-            assert_eq!(plain.queue_of(p), sharded.queue_of(p), "dispatch differs");
-            by_queue[plain.queue_of(p)].push(*p);
-        }
-        for (q, t) in [(1, 1u64), (0, 1), (1, 3), (0, 5)] {
-            let evs: &[RawRx] = if t == 1 { &by_queue[q] } else { &[] };
-            let a = plain.on_event(q, Time::from_secs(t), evs);
-            let b = sharded.on_event(q, Time::from_secs(t), evs);
-            assert_eq!(a, b, "outcomes diverged at queue {q} t {t}");
-        }
-        let a: Vec<_> = plain.env().flow_manager().iter_lru().collect();
-        let b: Vec<_> = sharded.env().flow_manager().shard(0).iter_lru().collect();
-        assert_eq!(a, b, "table state diverged");
-        plain.env().flow_manager().check_coherence().unwrap();
-    }
-
-    #[test]
-    fn queue_fed_clocks_are_per_queue_monotone_and_global_max() {
-        let c = cfg(64);
-        let mut qf = QueueFed::new(&c, 2, 2);
-        // Find one flow per queue.
-        let mut per_queue: [Option<RawRx>; 2] = [None, None];
-        for h in 0..64u8 {
-            let p = raw(h, 100);
-            per_queue[qf.queue_of(&p)].get_or_insert(p);
-        }
-        let [p0, p1] = per_queue.map(|p| p.expect("both queues reachable"));
-        // Queue 1 runs ahead; queue 0 may still deliver at an older
-        // instant — but the NAT clock (and expiry) follows the max.
-        qf.on_event(1, Time::from_secs(20), &[p1]);
-        let out = qf.on_event(0, Time::from_secs(5), &[p0]);
-        // p1's flow was stamped at t=20; the global clock is already 20
-        // when p0 arrives, so with Texp=10 nothing has expired and both
-        // flows coexist.
-        assert_eq!(out.len(), 1);
-        assert_eq!(qf.env().flow_manager().flow_count(), 2);
-        assert_eq!(qf.events_processed(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "clock must be monotone")]
-    fn queue_fed_rejects_backwards_queue_clock() {
-        let mut qf = QueueFed::new(&cfg(64), 2, 2);
-        qf.on_event(0, Time::from_secs(5), &[]);
-        qf.on_event(0, Time::from_secs(4), &[]);
-    }
-
-    #[test]
-    fn queue_fed_empty_event_still_expires() {
-        let c = cfg(64);
-        let mut qf = QueueFed::new(&c, 2, 2);
-        let p = raw(1, 100);
-        let q = qf.queue_of(&p);
-        qf.on_event(q, Time::from_secs(1), &[p]);
-        assert_eq!(qf.env().flow_manager().flow_count(), 1);
-        // An empty poll on the *other* queue at t=20 (Texp=10) must
-        // still tick expiry — polling cores expire every iteration.
-        qf.on_event(1 - q, Time::from_secs(20), &[]);
-        assert_eq!(qf.env().flow_manager().flow_count(), 0);
-        assert_eq!(qf.env().expired_total(), 1);
-    }
-
-    #[test]
-    fn queue_fed_refines_shards_when_queues_exceed_them() {
-        // queues = 2 * shards: the multiply-shift reduction nests queue
-        // groups inside shards — every packet's queue maps into its
-        // table shard by floor(queue * shards / queues).
-        let c = cfg(64);
-        let qf = QueueFed::new(&c, 2, 4);
-        let table = ShardedFlowManager::new(&c, 2);
-        for h in 0..=255u8 {
-            for port in [100u16, 2000, 40000] {
-                let p = raw(h, port);
-                let q = qf.queue_of(&p);
-                let f = FlowId {
-                    src_ip: Ip4::new(192, 168, 0, h),
-                    src_port: port,
-                    dst_ip: Ip4::new(8, 8, 8, 8),
-                    dst_port: 53,
-                    proto: Proto::Udp,
-                };
-                assert_eq!(
-                    q * 2 / 4,
-                    table.shard_of_hash(f.key_hash()),
-                    "queue group must nest inside the shard"
-                );
-            }
-        }
     }
 }

@@ -12,10 +12,10 @@
 //! poller/WRR event loop — runs over:
 //!
 //! * [`SimBackend`] — the in-process NIC model: an adapter over
-//!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice), byte-for-byte
-//!   equivalent to the legacy
-//!   [`MultiQueueTestbed`](crate::eventloop::MultiQueueTestbed)
-//!   (`tests/backend_conformance.rs` proves it differentially);
+//!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice) and the
+//!   reference every other backend is checked against
+//!   (`tests/backend_conformance.rs` pins its observable trace to
+//!   fingerprints and replays wire traces through it);
 //! * [`os::OsBackend`] (Linux) — real OS packet I/O: one `AF_PACKET`
 //!   raw socket per port, bound to an interface (a veth pair end in the
 //!   intended deployment), feeding the *same* classifier and FIFOs with
@@ -121,7 +121,7 @@ pub trait PacketIo {
 /// harness gets frames *into* a backend and reads what came out.
 ///
 /// For the sim backend this is direct ring access (classify + enqueue,
-/// exactly the legacy testbed's `offer`/`collect_tx`). For an OS
+/// dequeue + reclaim). For an OS
 /// backend the "tester" sits on the far end of the wire: the veth-pair
 /// test rig ([`os::OsTestRig`]) implements `stage` by sending on the
 /// peer interface's own raw socket and `reap` by receiving there.

@@ -1,14 +1,13 @@
 //! [`SimBackend`]: the in-process NIC model behind the [`PacketIo`]
 //! seam.
 //!
-//! An adapter over two [`MultiQueueDevice`]s and one [`Mempool`] —
-//! structurally the same parts as the legacy
-//! [`MultiQueueTestbed`](crate::eventloop::MultiQueueTestbed), arranged
-//! behind the backend trait instead of a concrete drain loop. The
-//! conformance suite (`tests/backend_conformance.rs`) proves the
-//! generic driver over this backend byte-for-byte equivalent to the
-//! legacy testbed: same tx sequences, same NAT state, same per-queue
-//! drop accounting under overflow.
+//! An adapter over two [`MultiQueueDevice`]s and one [`Mempool`], with
+//! the RSS classifier applied tester-side exactly where a NIC's hash
+//! unit runs. It is the simulated half of every conformance proof:
+//! `tests/backend_conformance.rs` pins the driver's observable trace
+//! over this backend (tx sequences, per-queue drop accounting under
+//! overflow, NAT state) to fingerprints, and replays recorded wire
+//! traces through it to check the OS backends.
 
 use super::{PacketIo, TesterIo};
 use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, PortStats, MBUF_SIZE};
@@ -27,8 +26,8 @@ pub struct SimBackend {
 impl SimBackend {
     /// Backend whose ports have one RX/TX ring pair of `ring_size`
     /// descriptors per classifier queue. The pool holds four rings'
-    /// worth of buffers per queue — identical sizing to the legacy
-    /// testbed, so pool-exhaustion behaviour matches exactly.
+    /// worth of buffers per queue, like the single-queue
+    /// [`Testbed`](crate::harness::Testbed).
     pub fn new(classifier: RssClassifier, ring_size: usize) -> SimBackend {
         let queues = classifier.queue_count();
         SimBackend {
@@ -112,10 +111,9 @@ impl PacketIo for SimBackend {
 
 impl TesterIo for SimBackend {
     /// Tester-side: write the frame, classify it (the NIC hash unit's
-    /// step), and offer it to the chosen RX queue — the exact logic of
-    /// the legacy testbed's `offer`, including the pool-exhaustion
-    /// accounting (an RX drop on the queue the frame would have
-    /// entered).
+    /// step), and offer it to the chosen RX queue. Pool exhaustion
+    /// counts as an RX drop on the queue the frame would have entered
+    /// (a NIC out of descriptors).
     fn stage(
         &mut self,
         dir: Direction,

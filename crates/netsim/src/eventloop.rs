@@ -1,5 +1,5 @@
-//! The async (epoll-style) event-driven driver over the multi-queue
-//! NIC model.
+//! The async (epoll-style) event-driven driver over the [`PacketIo`]
+//! backend seam.
 //!
 //! The paper's NAT is one run-to-completion loop over one RX ring; this
 //! module is the I/O layer that feeds the *same verified loop body*
@@ -16,24 +16,23 @@
 //! * [`EventLoop`] — the driver state (poller + scheduler + batch
 //!   scratch), reused across drains so the steady-state path allocates
 //!   nothing;
-//! * [`MultiQueueTestbed`] — the two-port testbed analog of
-//!   [`crate::harness::Testbed`]: one mempool, two
-//!   [`MultiQueueDevice`]s, and the RSS classifier
-//!   ([`RssClassifier`]) applied tester-side exactly where a NIC's
-//!   hash unit runs;
-//! * [`BackendDriver`] — the same drain loop written once over the
-//!   [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
-//!   identically on the simulated NIC model ([`SimBackend`]) and on
-//!   real OS packet I/O (`backend::os::OsBackend`); the legacy
-//!   [`MultiQueueTestbed`] drain stays as its differential oracle.
+//! * [`BackendDriver`] — the one event-driven drain, written once over
+//!   the [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
+//!   identically on the simulated NIC model
+//!   ([`SimBackend`](crate::backend::SimBackend)) and on
+//!   real OS packet I/O (`backend::os::OsBackend`);
+//! * [`event_driven_service_times`] and [`sustained_service_times_io`]
+//!   — the RFC 2544 measurement loops over that driver.
 //!
 //! Packets reach the NF through the ordinary [`Middlebox::process_burst`]
 //! — each queue event becomes one `BurstEnv` drain of the verified
 //! batch loop — so the event-driven driver changes *when* bursts run,
 //! never *what* a burst does. `tests/queue_equivalence.rs` proves the
 //! output byte-for-byte equivalent per flow to the sequential
-//! single-queue driver, which stays in [`crate::harness`] as the
-//! differential oracle.
+//! per-frame NAT, and `tests/backend_conformance.rs` pins the driver's
+//! full observable trace (admissions, TX sequences, per-queue stats,
+//! NAT state) to fingerprints recorded from the retired multi-queue
+//! testbed it replaced.
 //!
 //! ## Ordering guarantees (and the shape of the equivalence proof)
 //!
@@ -52,15 +51,13 @@
 //! queues; translation of *established* flows remains byte-identical
 //! in every case. See `docs/ARCHITECTURE.md`.
 
-use crate::backend::{PacketIo, SimBackend, TesterIo};
-use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, PortStats, MBUF_SIZE};
-use crate::frame_env::RssClassifier;
+use crate::backend::{PacketIo, TesterIo};
+use crate::dpdk::BufIdx;
 use crate::harness::LatencySamples;
-use crate::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
+use crate::middlebox::{Middlebox, Verdict};
 use crate::tester::FlowGen;
 use libvig::time::Time;
 use vig_packet::Direction;
-use vig_spec::NatConfig;
 use vignat::MAX_BURST;
 
 /// One readiness event: RX queue `queue` of port `dir` holds frames.
@@ -116,30 +113,17 @@ impl Poller {
         }
     }
 
-    /// Scan both ports' RX queues and record every non-empty one as a
+    /// Scan both ports' RX queues of `io` (internal port first,
+    /// ascending queue index) and record every non-empty one as a
     /// [`QueueEvent`] (readable via [`Poller::ready`]). Returns how
     /// many queues are ready. An empty scan advances the idle backoff
     /// (doubling up to the cap); any readiness resets it.
-    pub fn poll(&mut self, int_dev: &MultiQueueDevice, ext_dev: &MultiQueueDevice) -> usize {
-        self.poll_with(int_dev.queue_count(), |dir, q| match dir {
-            Direction::Internal => int_dev.rx_len(q),
-            Direction::External => ext_dev.rx_len(q),
-        })
-    }
-
-    /// [`Poller::poll`] over any [`PacketIo`] backend: the identical
-    /// level-triggered scan (internal port first, ascending queue
-    /// index) against the backend's `rx_len` readiness signal.
-    pub fn poll_io<B: PacketIo>(&mut self, io: &B) -> usize {
-        self.poll_with(io.queue_count(), |dir, q| io.rx_len(dir, q))
-    }
-
-    /// The shared scan: `rx_len(dir, q)` over both ports × `queues`.
-    fn poll_with(&mut self, queues: usize, rx_len: impl Fn(Direction, usize) -> usize) -> usize {
+    pub fn poll<B: PacketIo>(&mut self, io: &B) -> usize {
         self.ready.clear();
+        let queues = io.queue_count();
         for dir in [Direction::Internal, Direction::External] {
             for q in 0..queues {
-                if rx_len(dir, q) > 0 {
+                if io.rx_len(dir, q) > 0 {
                     self.ready.push(QueueEvent { dir, queue: q });
                 }
             }
@@ -310,13 +294,11 @@ pub struct TxRecord {
     pub frame: Vec<u8>,
 }
 
-/// The backend-generic event-driven driver: the same poll → WRR →
-/// budgeted-burst → verified-batch-loop drain as
-/// [`MultiQueueTestbed::drain_event_driven`], written once over
-/// [`PacketIo`] so it runs identically on the simulated NIC model and
-/// on real OS packet I/O. `tests/backend_conformance.rs` proves the
-/// [`SimBackend`] instantiation byte-for-byte equivalent to the legacy
-/// testbed, which stays as the differential oracle.
+/// The event-driven driver: poll → WRR → budgeted burst → verified
+/// batch loop, written once over [`PacketIo`] so it runs identically
+/// on the simulated NIC model and on real OS packet I/O. Forwarded
+/// frames go out on the destination port's TX queue of the same index
+/// (a run-to-completion core owns its queue pair).
 pub struct BackendDriver<B: PacketIo> {
     io: B,
     ev: EventLoop,
@@ -387,7 +369,7 @@ impl<B: PacketIo> BackendDriver<B> {
     ) -> usize {
         stats.polls += 1;
         self.io.pump_rx();
-        let n_ready = self.ev.poller.poll_io(&self.io);
+        let n_ready = self.ev.poller.poll(&self.io);
         if n_ready == 0 {
             return 0;
         }
@@ -424,9 +406,9 @@ impl<B: PacketIo> BackendDriver<B> {
                         // injected overrun: flush and retry up to the
                         // budget, then drop with accounting — bounded
                         // degradation, never a stall or a panic. On the
-                        // sim backend flush is a no-op and the legacy
-                        // testbed's sizing invariant makes the first
-                        // put succeed, so equivalence is untouched.
+                        // sim backend flush is a no-op and a TX queue,
+                        // fed by one RX queue as deep as itself and
+                        // reaped between drains, takes the first put.
                         let mut sent = self.io.tx_put(*out, event.queue, buf);
                         for _ in 0..TX_RETRY_BUDGET {
                             if sent {
@@ -456,9 +438,8 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 
     /// Drain until idle: service rounds until a poll finds no queue
-    /// ready, then flush TX to the backend's outside world. The exact
-    /// loop of [`MultiQueueTestbed::drain_event_driven`], including its
-    /// statistics semantics (the final empty poll is counted).
+    /// ready, then flush TX to the backend's outside world. The final
+    /// empty poll is counted in [`DrainStats::polls`].
     pub fn drain(&mut self, nf: &mut dyn Middlebox, now: Time) -> DrainStats {
         let mut stats = DrainStats::default();
         let t0 = std::time::Instant::now();
@@ -487,239 +468,17 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 }
 
-/// The two-port multi-queue testbed: one mempool, two
-/// [`MultiQueueDevice`]s, and the RSS classifier applied tester-side.
-/// The multi-queue analog of [`crate::harness::Testbed`].
-pub struct MultiQueueTestbed {
-    pool: Mempool,
-    int_dev: MultiQueueDevice,
-    ext_dev: MultiQueueDevice,
-    classifier: RssClassifier,
-    scratch: Box<[u8; MBUF_SIZE]>,
-}
+/// Frames staged per round by the measurement loops.
+const ROUND: usize = 64;
 
-impl MultiQueueTestbed {
-    /// Testbed whose ports have one RX/TX ring pair of `ring_size`
-    /// descriptors per classifier queue. The pool holds four rings'
-    /// worth of buffers per queue, like the single-queue testbed.
-    pub fn new(classifier: RssClassifier, ring_size: usize) -> MultiQueueTestbed {
-        let queues = classifier.queue_count();
-        MultiQueueTestbed {
-            pool: Mempool::new(queues * ring_size * 4),
-            int_dev: MultiQueueDevice::new(queues, ring_size),
-            ext_dev: MultiQueueDevice::new(queues, ring_size),
-            classifier,
-            scratch: Box::new([0u8; MBUF_SIZE]),
-        }
-    }
-
-    fn dev(&mut self, d: Direction) -> &mut MultiQueueDevice {
-        match d {
-            Direction::Internal => &mut self.int_dev,
-            Direction::External => &mut self.ext_dev,
-        }
-    }
-
-    /// The classifier steering this testbed's traffic.
-    pub fn classifier(&self) -> RssClassifier {
-        self.classifier
-    }
-
-    /// Queues per port.
-    pub fn queue_count(&self) -> usize {
-        self.int_dev.queue_count()
-    }
-
-    /// Buffers currently free in the pool (leak checks).
-    pub fn pool_available(&self) -> usize {
-        self.pool.available()
-    }
-
-    /// Queue `q`'s counters on port `dir`.
-    pub fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
-        match dir {
-            Direction::Internal => self.int_dev.queue_stats(q),
-            Direction::External => self.ext_dev.queue_stats(q),
-        }
-    }
-
-    /// Port-wide counters (sum over queues).
-    pub fn port_stats(&self, dir: Direction) -> PortStats {
-        match dir {
-            Direction::Internal => self.int_dev.port_stats(),
-            Direction::External => self.ext_dev.port_stats(),
-        }
-    }
-
-    /// Tester-side: write a frame, classify it (the NIC hash unit's
-    /// step), and offer it to the chosen RX queue. Returns the queue it
-    /// landed in, or `None` when that queue's ring (or the pool) is
-    /// full — in which case the drop is counted in that queue's stats
-    /// and nothing else changes.
-    pub fn offer(
-        &mut self,
-        dir: Direction,
-        fields_writer: impl FnOnce(&mut [u8]) -> usize,
-    ) -> Option<usize> {
-        let len = fields_writer(&mut self.scratch[..]);
-        let q = self.classifier.queue_of(dir, &self.scratch[..len]);
-        let Some(buf) = self.pool.get() else {
-            // Pool exhaustion manifests as an RX drop on the queue the
-            // frame would have entered (a NIC out of descriptors).
-            self.dev(dir).note_rx_drop(q);
-            return None;
-        };
-        self.pool.write_frame(buf, &self.scratch[..len]);
-        if self.dev(dir).offer_to(q, buf) {
-            Some(q)
-        } else {
-            self.pool.put(buf);
-            None
-        }
-    }
-
-    /// The event-driven drain: poll for ready queues, visit them in
-    /// weighted round-robin order, and run each visit's budgeted burst
-    /// through [`Middlebox::process_burst`] — one queue event, one
-    /// `BurstEnv` drain of the verified batch loop. Loops until no
-    /// queue is ready. Forwarded frames go out on the destination
-    /// port's TX queue of the same index (a run-to-completion core owns
-    /// its queue pair). Returns the drain's statistics; transmitted
-    /// frames stay queued until [`MultiQueueTestbed::collect_tx`].
-    pub fn drain_event_driven(
-        &mut self,
-        nf: &mut dyn Middlebox,
-        now: Time,
-        ev: &mut EventLoop,
-    ) -> DrainStats {
-        let mut stats = DrainStats::default();
-        let t0 = std::time::Instant::now();
-        loop {
-            stats.polls += 1;
-            let n_ready = ev.poller.poll(&self.int_dev, &self.ext_dev);
-            if n_ready == 0 {
-                break;
-            }
-            let start = ev.wrr.rotation(n_ready);
-            for k in 0..n_ready {
-                let event = ev.poller.ready[(start + k) % n_ready];
-                let budget = ev.wrr.budget(event.queue);
-                ev.batch.clear();
-                if self
-                    .dev(event.dir)
-                    .rx_burst(event.queue, budget, &mut ev.batch)
-                    == 0
-                {
-                    continue;
-                }
-                stats.bursts += 1;
-                let verdicts = nf.process_burst(event.dir, &mut self.pool, &ev.batch, now);
-                debug_assert_eq!(verdicts.len(), ev.batch.len());
-                for (&buf, v) in ev.batch.iter().zip(&verdicts) {
-                    match v {
-                        Verdict::Forward(out) => {
-                            let bytes = self.pool.frame(buf).len();
-                            assert!(
-                                self.dev(*out).tx_put(event.queue, buf, bytes),
-                                "tx ring sized for a ring's worth of bursts"
-                            );
-                            stats.forwarded += 1;
-                        }
-                        Verdict::Drop => {
-                            self.pool.put(buf);
-                            stats.dropped += 1;
-                        }
-                    }
-                }
-            }
-        }
-        stats.elapsed_ns = t0.elapsed().as_nanos() as u64;
-        stats
-    }
-
-    /// The lockstep oracle drain: visit every queue of both ports in
-    /// fixed ascending order and drain each *fully* (in
-    /// [`MAX_BURST`]-frame chunks) before moving on — the sequential
-    /// interleaving the event-driven drain is differentially tested
-    /// against. Returns `(forwarded, dropped)`.
-    pub fn drain_sequential(&mut self, nf: &mut dyn Middlebox, now: Time) -> (u64, u64) {
-        let mut forwarded = 0u64;
-        let mut dropped = 0u64;
-        let mut batch: Vec<BufIdx> = Vec::with_capacity(MAX_BURST);
-        for dir in [Direction::Internal, Direction::External] {
-            for q in 0..self.queue_count() {
-                loop {
-                    batch.clear();
-                    if self.dev(dir).rx_burst(q, MAX_BURST, &mut batch) == 0 {
-                        break;
-                    }
-                    let verdicts = nf.process_burst(dir, &mut self.pool, &batch, now);
-                    for (&buf, v) in batch.iter().zip(&verdicts) {
-                        match v {
-                            Verdict::Forward(out) => {
-                                let bytes = self.pool.frame(buf).len();
-                                assert!(
-                                    self.dev(*out).tx_put(q, buf, bytes),
-                                    "tx ring holds the queue"
-                                );
-                                forwarded += 1;
-                            }
-                            Verdict::Drop => {
-                                self.pool.put(buf);
-                                dropped += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (forwarded, dropped)
-    }
-
-    /// Tester-side: collect every transmitted frame from port `dir`'s
-    /// TX queues (queue order, FIFO within a queue), reclaiming the
-    /// buffers. Returns `(tx_queue, frame bytes)` pairs.
-    pub fn collect_tx(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        for q in 0..self.queue_count() {
-            while let Some(buf) = self.dev(dir).tx_take(q) {
-                out.push((q, self.pool.frame(buf).to_vec()));
-                self.pool.put(buf);
-            }
-        }
-        out
-    }
-}
-
-/// Steady-state per-packet service times through the event-driven
-/// multi-queue path — the multi-queue analog of
-/// [`crate::harness::steady_state_service_times_batched`]: an N-shard
-/// NAT behind a `queues`-queue classifier, all-hit workload, 64-frame
-/// rounds staged across queues by RSS and drained event-driven. Each
-/// packet is assigned its round's mean (burst-granularity timing, as
-/// everywhere in the harness).
-pub fn event_driven_service_times(
-    cfg: &NatConfig,
-    queues: usize,
-    shards: usize,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> LatencySamples {
-    let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
-    let io = SimBackend::new(RssClassifier::for_nat(cfg, queues), ring_cap);
-    event_driven_service_times_on(io, &mut nf, flows, packets, texp_ns)
-}
-
-/// Drain until `staged` frames of the current round have been
-/// processed (forwarded or dropped). One pass on a synchronous
-/// backend — the sim stages straight into the FIFOs, so the first
-/// drain handles everything and the loop exits without re-polling.
-/// On an asynchronous rig (the veth `OsTestRig`, where `stage` is a
-/// wire send) the kernel may deliver after the first poll, so keep
-/// draining until the frames show up, bounded by a generous
-/// real-time deadline. Statistics accumulate across passes.
+/// Drain until `staged` frames of the current round have completed —
+/// forwarded, dropped by the NF, or dropped at TX. One pass on a
+/// synchronous backend — the sim stages straight into the FIFOs, so
+/// the first drain handles everything and the loop exits without
+/// re-polling. On an asynchronous rig (the veth `OsTestRig`, where
+/// `stage` is a wire send) the kernel may deliver after the first
+/// poll, so keep draining until the frames show up, bounded by a
+/// generous real-time deadline. Statistics accumulate across passes.
 fn drain_staged<B: PacketIo>(
     drv: &mut BackendDriver<B>,
     nf: &mut dyn Middlebox,
@@ -732,93 +491,75 @@ fn drain_staged<B: PacketIo>(
         let s = drv.drain(nf, now);
         total.forwarded += s.forwarded;
         total.dropped += s.dropped;
+        total.tx_dropped += s.tx_dropped;
         total.bursts += s.bursts;
         total.polls += s.polls;
         total.elapsed_ns += s.elapsed_ns;
-        if total.forwarded + total.dropped >= staged || std::time::Instant::now() >= deadline {
+        let done = total.forwarded + total.dropped + total.tx_dropped;
+        if done >= staged || std::time::Instant::now() >= deadline {
             return total;
         }
         std::thread::yield_now();
     }
 }
 
-/// The backend-generic measurement loop behind
-/// [`event_driven_service_times`]: populate, then timed all-hit rounds,
-/// staged through [`TesterIo`] and drained by [`BackendDriver`] — so
-/// the identical RFC 2544 methodology runs over the simulated NIC
-/// model or, via the veth test rig, over real OS packet I/O (rounds
-/// pace themselves on actual delivery — one drain pass on a
-/// synchronous backend, re-draining until the staged frames arrive on
-/// an asynchronous one — and a rig's interfaces should be quiesced
-/// the way `backend::os::VethPair::create` leaves them, so no kernel
-/// noise lands in the timed region).
-pub fn event_driven_service_times_on<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    event_driven_service_times_io(io, nf, flows, packets, texp_ns).0
-}
-
-/// [`event_driven_service_times_on`] with the flow universe made
-/// explicit — the scenario matrix sweeps mixed TCP/UDP universes
-/// ([`FlowGen::mixed`]) through the identical measurement loop, so a
-/// protocol-mix axis changes only the workload, never the methodology.
-pub fn event_driven_service_times_gen<B: TesterIo>(
-    io: B,
+/// The untimed populate phase both measurement loops share: establish
+/// flows `0..flows` of `gen`'s universe in [`ROUND`]-frame rounds, 1 µs
+/// of virtual time apart. Returns the clock after the last round.
+fn populate<B: TesterIo>(
+    drv: &mut BackendDriver<B>,
     nf: &mut dyn Middlebox,
     gen: &FlowGen,
     flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    event_driven_service_times_io_gen(io, nf, gen, flows, packets, texp_ns).0
-}
-
-/// [`event_driven_service_times_on`], but hand the backend back with
-/// the samples — the cross-wire RFC 2544 harness reads its honesty
-/// counters (kernel drops, tx errors) after the measurement.
-pub fn event_driven_service_times_io<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    event_driven_service_times_io_gen(io, nf, &gen, flows, packets, texp_ns)
-}
-
-/// The common body behind [`event_driven_service_times_io`] and
-/// [`event_driven_service_times_gen`]: populate `flows` flows from
-/// `gen`'s universe, then timed all-hit rounds.
-fn event_driven_service_times_io_gen<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    gen: &FlowGen,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    const ROUND: usize = 64;
-    let mut drv = BackendDriver::new(io);
+) -> Time {
     let mut now = Time::from_secs(1);
-
-    // Populate (untimed): establish every flow.
-    for chunk in (0..flows as u32).collect::<Vec<_>>().chunks(ROUND) {
+    for start in (0..flows as u32).step_by(ROUND) {
         now = now.plus(1_000);
-        for &i in chunk {
+        let end = (start + ROUND as u32).min(flows as u32);
+        for i in start..end {
             let f = gen.background(i);
             let accepted = drv
                 .io_mut()
                 .stage(Direction::Internal, |b| gen.write_frame(&f, b));
             assert!(accepted.is_some(), "populate must not overflow");
         }
-        drain_staged(&mut drv, nf, now, chunk.len() as u64);
+        drain_staged(drv, nf, now, u64::from(end - start));
         let _ = drv.io_mut().reap(Direction::External);
     }
+    now
+}
+
+/// Steady-state per-packet service times through the event-driven
+/// driver — the RFC 2544 measurement loop every multi-queue series
+/// uses: populate `flows` flows from `gen`'s universe, then timed
+/// all-hit rounds of 64 frames, staged through [`TesterIo`] and
+/// drained by [`BackendDriver`]. Each packet is assigned its round's
+/// mean (burst-granularity timing, as everywhere in the harness). The
+/// backend is handed back with the samples, so a caller can read its
+/// counters (kernel drops, tx errors, fault statistics) afterwards.
+///
+/// The same loop runs over the simulated NIC model or, via the veth
+/// test rig, over real OS packet I/O: rounds pace themselves on actual
+/// delivery — one drain pass on a synchronous backend, re-draining
+/// until the staged frames arrive on an asynchronous one — and a rig's
+/// interfaces should be quiesced the way `backend::os::VethPair::create`
+/// leaves them, so no kernel noise lands in the timed region. UDP
+/// callers pass `&FlowGen::new(Proto::Udp)`; the scenario matrix sweeps
+/// mixed TCP/UDP universes ([`FlowGen::mixed`]) through the identical
+/// loop, so a protocol-mix axis changes only the workload.
+///
+/// Panics if the NF drops a frame in the timed phase: a workload that
+/// is not all hits would otherwise be priced as one.
+pub fn event_driven_service_times<B: TesterIo>(
+    io: B,
+    nf: &mut dyn Middlebox,
+    gen: &FlowGen,
+    flows: usize,
+    packets: usize,
+    texp_ns: u64,
+) -> (LatencySamples, B) {
+    let mut drv = BackendDriver::new(io);
+    let mut now = populate(&mut drv, nf, gen, flows);
 
     // Timed all-hit rounds; clock advances slowly enough that no flow
     // expires (same construction as the single-queue harness).
@@ -841,7 +582,7 @@ fn event_driven_service_times_io_gen<B: TesterIo>(
         }
         next_flow = (next_flow + ROUND as u32) % flows as u32;
         let stats = drain_staged(&mut drv, nf, now, staged as u64);
-        debug_assert_eq!(stats.dropped, 0, "steady state must be all hits");
+        assert_eq!(stats.dropped, 0, "steady state must be all hits");
         let _ = drv.io_mut().reap(Direction::External);
         debug_assert!(staged > 0);
         let per_packet = stats.elapsed_ns / staged as u64;
@@ -868,12 +609,14 @@ fn event_driven_service_times_io_gen<B: TesterIo>(
 /// are *not* discarded — their time is carried into the next
 /// productive drain, so wire stalls stay in the measurement), reap,
 /// top the window back up. All three transports (sim, per-frame,
-/// mmap) are measured by this same loop.
+/// mmap) are measured by this same loop, after the same populate
+/// phase as [`event_driven_service_times`] over UDP flows.
 ///
 /// `window` should exceed the mmap RX block capacity in frames (so the
 /// in-flight traffic keeps filling blocks) and stay within the
 /// per-queue FIFO capacity (so admission never drops in steady state).
-/// The ring size is a good default.
+/// The ring size is a good default. A frame dropped at TX has left the
+/// window like a forwarded one; an NF drop panics (all hits expected).
 pub fn sustained_service_times_io<B: TesterIo>(
     io: B,
     nf: &mut dyn Middlebox,
@@ -882,24 +625,9 @@ pub fn sustained_service_times_io<B: TesterIo>(
     window: usize,
     texp_ns: u64,
 ) -> (LatencySamples, B) {
-    const ROUND: usize = 64;
     let mut drv = BackendDriver::new(io);
     let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut now = Time::from_secs(1);
-
-    // Populate (untimed): establish every flow, in paced bursts.
-    for chunk in (0..flows as u32).collect::<Vec<_>>().chunks(ROUND) {
-        now = now.plus(1_000);
-        for &i in chunk {
-            let f = gen.background(i);
-            let accepted = drv
-                .io_mut()
-                .stage(Direction::Internal, |b| gen.write_frame(&f, b));
-            assert!(accepted.is_some(), "populate must not overflow");
-        }
-        drain_staged(&mut drv, nf, now, chunk.len() as u64);
-        let _ = drv.io_mut().reap(Direction::External);
-    }
+    let mut now = populate(&mut drv, nf, &gen, flows);
 
     // Timed sustained phase. The virtual clock advances slowly enough
     // that no flow expires across the whole run.
@@ -937,8 +665,8 @@ pub fn sustained_service_times_io<B: TesterIo>(
         }
         now = now.plus(step.max(1));
         let stats = drv.drain(nf, now);
-        debug_assert_eq!(stats.dropped, 0, "steady state must be all hits");
-        let processed = stats.forwarded as usize;
+        assert_eq!(stats.dropped, 0, "steady state must be all hits");
+        let processed = (stats.forwarded + stats.tx_dropped) as usize;
         if processed > 0 {
             done += processed;
             let per_packet = ((stats.elapsed_ns + carried_idle_ns) / processed as u64).max(1);
@@ -961,8 +689,12 @@ pub fn sustained_service_times_io<B: TesterIo>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middlebox::VigNatMb;
+    use crate::backend::SimBackend;
+    use crate::dpdk::MBUF_SIZE;
+    use crate::frame_env::RssClassifier;
+    use crate::middlebox::{ShardedVigNatMb, VigNatMb};
     use vig_packet::{Ip4, Proto};
+    use vig_spec::NatConfig;
 
     fn cfg(cap: usize) -> NatConfig {
         NatConfig {
@@ -974,25 +706,38 @@ mod tests {
         }
     }
 
+    /// Background flows of `gen` sorted by the internal-port RX queue
+    /// `classifier` steers them to (the first 512 flow indices).
+    fn flows_by_queue(classifier: RssClassifier, gen: &FlowGen) -> Vec<Vec<u32>> {
+        let mut by_queue = vec![Vec::new(); classifier.queue_count()];
+        let mut buf = [0u8; MBUF_SIZE];
+        for i in 0..512u32 {
+            let n = gen.write_frame(&gen.background(i), &mut buf);
+            by_queue[classifier.queue_of(Direction::Internal, &buf[..n])].push(i);
+        }
+        by_queue
+    }
+
     #[test]
     fn poller_reports_readiness_and_backs_off_when_idle() {
-        let int_dev = MultiQueueDevice::new(2, 4);
-        let ext_dev = MultiQueueDevice::new(2, 4);
+        let mut io = SimBackend::new(RssClassifier::for_nat(&cfg(64), 2), 4);
         let mut p = Poller::with_backoff(100, 800);
         // Idle polls double the backoff up to the cap.
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
+        assert_eq!(p.poll(&io), 0);
         assert_eq!(p.current_backoff_ns(), 200);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
+        assert_eq!(p.poll(&io), 0);
+        assert_eq!(p.poll(&io), 0);
+        assert_eq!(p.poll(&io), 0);
         assert_eq!(p.current_backoff_ns(), 800, "capped");
         assert_eq!(p.stats().idle_polls, 4);
         assert!(p.stats().idle_backoff_ns >= 100 + 200 + 400 + 800);
 
         // Readiness resets the backoff and reports the exact queue.
-        let mut int_dev = int_dev;
-        int_dev.offer_to(1, BufIdx(0));
-        assert_eq!(p.poll(&int_dev, &ext_dev), 1);
+        let gen = FlowGen::new(Proto::Udp);
+        let f = gen.background(flows_by_queue(io.classifier(), &gen)[1][0]);
+        let q = io.stage(Direction::Internal, |b| gen.write_frame(&f, b));
+        assert_eq!(q, Some(1));
+        assert_eq!(p.poll(&io), 1);
         assert_eq!(
             p.ready(),
             &[QueueEvent {
@@ -1012,48 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_drain_translates_and_reclaims_buffers() {
-        let c = cfg(256);
-        let mut nf = ShardedVigNatMb::sharded(c, 2);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 4), 64);
-        let mut ev = EventLoop::new(4);
-        let gen = FlowGen::new(Proto::Udp);
-        let before = tb.pool_available();
-        for i in 0..48u32 {
-            let f = gen.background(i);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
-        }
-        let stats = tb.drain_event_driven(&mut nf, Time::from_secs(1), &mut ev);
-        assert_eq!(stats.forwarded, 48);
-        assert_eq!(stats.dropped, 0);
-        assert!(stats.bursts >= 1);
-        let tx = tb.collect_tx(Direction::External);
-        assert_eq!(tx.len(), 48);
-        // Every output frame carries the external ip, and the port it
-        // was allocated lives in the same *shard* group as the queue
-        // that carried it (4 queues nest pairwise inside 2 shards; the
-        // port's exact queue within the group depends on allocation
-        // order, not on the hash's finer bits).
-        for (q, frame) in &tx {
-            let (_, ff) = vig_packet::parse_l3l4(frame).unwrap();
-            assert_eq!(ff.src_ip, Ip4::new(10, 1, 0, 1));
-            let port_q = tb
-                .classifier()
-                .queue_of_port(ff.src_port)
-                .expect("allocated port is in range");
-            assert_eq!(
-                port_q * 2 / 4,
-                q * 2 / 4,
-                "port's queue group must nest in the carrying queue's shard"
-            );
-        }
-        assert_eq!(tb.pool_available(), before, "no buffer leaks");
-        assert_eq!(nf.occupancy(), 48);
-    }
-
-    #[test]
     fn wrr_budget_interleaves_deep_and_shallow_queues() {
         // One deep queue must not be drained to completion before a
         // shallow sibling gets service: with budget 8, the deep queue
@@ -1061,32 +764,23 @@ mod tests {
         // queue once.
         let c = cfg(256);
         let mut nf = VigNatMb::new(c);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        let mut ev = EventLoop::with_parts(Poller::new(), Wrr::new(2, 8));
+        let mut drv = BackendDriver::with_event_loop(
+            SimBackend::new(RssClassifier::for_nat(&c, 2), 64),
+            EventLoop::with_parts(Poller::new(), Wrr::new(2, 8)),
+        );
         let gen = FlowGen::new(Proto::Udp);
-        // Find flows for each queue.
-        let mut by_queue: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        let mut buf = [0u8; MBUF_SIZE];
-        for i in 0..512u32 {
-            let f = gen.background(i);
-            let n = gen.write_frame(&f, &mut buf);
-            let q = tb.classifier().queue_of(Direction::Internal, &buf[..n]);
-            by_queue[q].push(i);
-        }
+        let by_queue = flows_by_queue(drv.io().classifier(), &gen);
         // 40 frames into queue 0's flows, 8 into queue 1's.
-        for k in 0..40 {
-            let f = gen.background(by_queue[0][k % by_queue[0].len()]);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
+        for (q, count) in [(0, 40), (1, 8)] {
+            for k in 0..count {
+                let f = gen.background(by_queue[q][k % by_queue[q].len()]);
+                assert!(drv
+                    .io_mut()
+                    .stage(Direction::Internal, |b| gen.write_frame(&f, b))
+                    .is_some());
+            }
         }
-        for k in 0..8 {
-            let f = gen.background(by_queue[1][k % by_queue[1].len()]);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
-        }
-        let stats = tb.drain_event_driven(&mut nf, Time::from_secs(1), &mut ev);
+        let stats = drv.drain(&mut nf, Time::from_secs(1));
         assert_eq!(stats.forwarded, 48);
         // Deep queue: ceil(40/8) = 5 visits; shallow: 1. Plus the final
         // empty poll. Multiple poll rounds prove the interleaving.
@@ -1095,51 +789,88 @@ mod tests {
             stats.polls >= 5,
             "deep queue re-polls while shallow is done"
         );
-        let _ = tb.collect_tx(Direction::External);
+        let _ = drv.io_mut().reap(Direction::External);
     }
 
     #[test]
     fn sequential_oracle_matches_event_driven_on_totals() {
+        // The sequential per-frame NAT, fed the frames in arrival
+        // order, forwards and drops exactly what the event-driven
+        // drain does, and ends at the same occupancy.
         let c = cfg(128);
         let gen = FlowGen::new(Proto::Udp);
-        let mk = |tb: &mut MultiQueueTestbed| {
-            for i in 0..32u32 {
-                let f = gen.background(i);
-                assert!(tb
-                    .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                    .is_some());
+        let mut drv = BackendDriver::new(SimBackend::new(RssClassifier::for_nat(&c, 2), 64));
+        let mut nf_ev = ShardedVigNatMb::sharded(c, 2);
+        let mut nf_seq = ShardedVigNatMb::sharded(c, 2);
+        let (mut fwd, mut drop) = (0u64, 0u64);
+        let mut buf = [0u8; MBUF_SIZE];
+        for i in 0..32u32 {
+            let f = gen.background(i % 24);
+            let n = gen.write_frame(&f, &mut buf);
+            assert!(drv
+                .io_mut()
+                .stage(Direction::Internal, |b| {
+                    b[..n].copy_from_slice(&buf[..n]);
+                    n
+                })
+                .is_some());
+            match nf_seq.process(Direction::Internal, &mut buf[..n], Time::from_secs(1)) {
+                Verdict::Forward(_) => fwd += 1,
+                Verdict::Drop => drop += 1,
             }
-        };
-        let mut a = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        let mut b = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        mk(&mut a);
-        mk(&mut b);
-        let mut nf_a = ShardedVigNatMb::sharded(c, 2);
-        let mut nf_b = ShardedVigNatMb::sharded(c, 2);
-        let mut ev = EventLoop::new(2);
-        let s = a.drain_event_driven(&mut nf_a, Time::from_secs(1), &mut ev);
-        let (fwd, drop) = b.drain_sequential(&mut nf_b, Time::from_secs(1));
+        }
+        let s = drv.drain(&mut nf_ev, Time::from_secs(1));
         assert_eq!((s.forwarded, s.dropped), (fwd, drop));
-        assert_eq!(nf_a.occupancy(), nf_b.occupancy());
-        let _ = (
-            a.collect_tx(Direction::External),
-            b.collect_tx(Direction::External),
-        );
+        assert_eq!(nf_ev.occupancy(), nf_seq.occupancy());
+        assert_eq!(drv.io_mut().reap(Direction::External).len() as u64, fwd);
     }
 
     #[test]
     fn event_driven_steady_state_is_all_hits() {
-        let s =
-            event_driven_service_times(&cfg(1024), 2, 2, 64, 500, Time::from_secs(60).nanos(), 64);
+        let c = cfg(1024);
+        let mut nf = ShardedVigNatMb::sharded(c, 2);
+        let (s, _io) = event_driven_service_times(
+            SimBackend::new(RssClassifier::for_nat(&c, 2), 64),
+            &mut nf,
+            &FlowGen::new(Proto::Udp),
+            64,
+            500,
+            Time::from_secs(60).nanos(),
+        );
         assert_eq!(s.ns.len(), 500);
         assert!(s.mean() > 0.0);
+        assert_eq!(nf.occupancy(), 64);
+    }
+
+    #[test]
+    fn tx_dropped_frames_complete_their_round() {
+        // A frame that exhausts the TX retry budget has left the round
+        // as surely as a forwarded one: neither loop may wait for it
+        // (the round loop until its 5 s deadline, the sustained loop
+        // until its 60 s stall check).
+        use crate::backend::{FaultIo, FaultPlan};
+        let c = cfg(1024);
+        let texp = Time::from_secs(60).nanos();
+        let plan = || FaultPlan::seeded(7).tx_reject_1_in(50, 8);
+        let sim = || SimBackend::new(RssClassifier::for_nat(&c, 2), 64);
+        let t0 = std::time::Instant::now();
+        let mut nf = ShardedVigNatMb::sharded(c, 2);
+        let gen = FlowGen::new(Proto::Udp);
+        let (s, io) =
+            event_driven_service_times(FaultIo::new(sim(), plan()), &mut nf, &gen, 64, 256, texp);
+        assert_eq!(s.ns.len(), 256);
+        assert!(io.fault_stats().tx_rejections > 0);
+        let mut nf = ShardedVigNatMb::sharded(c, 2);
+        let (s, io) =
+            sustained_service_times_io(FaultIo::new(sim(), plan()), &mut nf, 64, 256, 64, texp);
+        assert_eq!(s.ns.len(), 256);
+        assert!(io.fault_stats().tx_rejections > 0);
+        let wall = t0.elapsed();
+        assert!(wall < std::time::Duration::from_secs(1), "took {wall:?}");
     }
 
     #[test]
     fn backend_driver_over_sim_translates_and_reclaims_buffers() {
-        // The generic driver over SimBackend behaves like the legacy
-        // testbed drain on the same workload (the full byte-for-byte
-        // differential lives in tests/backend_conformance.rs).
         let c = cfg(256);
         let mut nf = ShardedVigNatMb::sharded(c, 2);
         let mut drv = BackendDriver::new(SimBackend::new(RssClassifier::for_nat(&c, 4), 64));
@@ -1155,11 +886,31 @@ mod tests {
         }
         let stats = drv.drain(&mut nf, Time::from_secs(1));
         assert_eq!((stats.forwarded, stats.dropped), (48, 0));
+        assert!(stats.bursts >= 1);
         let log = drv.take_tx_log();
         assert_eq!(log.len(), 48);
         assert!(log.iter().all(|r| r.out == Direction::External));
         let tx = drv.io_mut().reap(Direction::External);
         assert_eq!(tx.len(), 48);
+        // Every output frame carries the external ip, and the port it
+        // was allocated lives in the same *shard* group as the queue
+        // that carried it (4 queues nest pairwise inside 2 shards; the
+        // port's exact queue within the group depends on allocation
+        // order, not on the hash's finer bits).
+        for (q, frame) in &tx {
+            let (_, ff) = vig_packet::parse_l3l4(frame).unwrap();
+            assert_eq!(ff.src_ip, Ip4::new(10, 1, 0, 1));
+            let port_q = drv
+                .io()
+                .classifier()
+                .queue_of_port(ff.src_port)
+                .expect("allocated port is in range");
+            assert_eq!(
+                port_q * 2 / 4,
+                q * 2 / 4,
+                "port's queue group must nest in the carrying queue's shard"
+            );
+        }
         // The tx log records the same frames the backend transmitted
         // (reap returns queue order; the log is drain order — compare
         // as multisets of (queue, bytes)).

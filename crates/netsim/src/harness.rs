@@ -6,20 +6,23 @@
 //!   residence time of *probe* packets (worst case: flow-table miss,
 //!   expiry work, allocation) while N background flows occupy the
 //!   table;
-//! * [`throughput_search`] — Fig. 14: the RFC 2544 loss-bounded maximum
-//!   throughput — measure the NF's per-packet service times on the
-//!   steady-state (all-hits) workload, MAD-reject timer-noise outliers
-//!   ([`mad_filter_ns`]), then binary-search the highest offered rate
-//!   whose queue simulation loses ≤ 0.1% of packets at the device's
-//!   RX-ring depth.
+//! * [`steady_state_service_times`] (and its batched twin) followed by
+//!   [`search_rate_with_ci`] — Fig. 14: the RFC 2544 loss-bounded
+//!   maximum throughput — measure the NF's per-packet service times on
+//!   the steady-state (all-hits) workload, MAD-reject timer-noise
+//!   outliers ([`mad_filter_ns`]), then binary-search the highest
+//!   offered rate whose queue simulation loses ≤ 0.1% of packets at
+//!   the device's RX-ring depth. The multi-queue series measure
+//!   service times through the event-driven driver instead
+//!   ([`crate::eventloop::event_driven_service_times`]) and feed the
+//!   same search.
 //!
 //! Every frame goes through the same mempool→RX-ring→NF→TX-ring→mempool
 //! transaction ([`Testbed::shoot`]), so ring and buffer costs are inside
 //! the measurement uniformly for every NF — mirroring how every paper NF
 //! pays the same DPDK rx/tx cost.
 
-use crate::dpdk::MBUF_SIZE;
-use crate::dpdk::{BufIdx, Device, Mempool};
+use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, MBUF_SIZE};
 use crate::frame_env::{BurstEnv, BurstScratch, RssClassifier};
 use crate::middlebox::{Middlebox, Verdict, VigNatMb};
 use crate::runtime::{with_shard_runtime, RuntimeReport, ShardRuntimeSession, DEFAULT_RING_WORDS};
@@ -32,11 +35,13 @@ use vignat::{nat_process_batch, IterationOutcome, ShardedFlowManager, MAX_BURST}
 /// Callback that inspects an output frame after transmission.
 pub type InspectFn<'a> = &'a mut dyn FnMut(&[u8], Direction);
 
-/// The simulated two-port testbed.
+/// The simulated two-port testbed: one mempool and two single-queue
+/// [`MultiQueueDevice`] ports.
 pub struct Testbed {
     pool: Mempool,
-    int_dev: Device,
-    ext_dev: Device,
+    int_dev: MultiQueueDevice,
+    ext_dev: MultiQueueDevice,
+    ring_size: usize,
     scratch: Box<[u8; MBUF_SIZE]>,
 }
 
@@ -46,17 +51,39 @@ impl Testbed {
     pub fn new(ring_size: usize) -> Testbed {
         Testbed {
             pool: Mempool::new(ring_size * 4),
-            int_dev: Device::new(ring_size),
-            ext_dev: Device::new(ring_size),
+            int_dev: MultiQueueDevice::new(1, ring_size),
+            ext_dev: MultiQueueDevice::new(1, ring_size),
+            ring_size,
             scratch: Box::new([0u8; MBUF_SIZE]),
         }
     }
 
-    fn dev(&mut self, d: Direction) -> &mut Device {
+    fn dev(&mut self, d: Direction) -> &mut MultiQueueDevice {
         match d {
             Direction::Internal => &mut self.int_dev,
             Direction::External => &mut self.ext_dev,
         }
+    }
+
+    /// Tester side: write a frame with `fields_writer` into a fresh
+    /// buffer and offer it to port `dir`'s RX ring.
+    fn stage(&mut self, dir: Direction, fields_writer: impl FnOnce(&mut [u8]) -> usize) {
+        let len = fields_writer(&mut self.scratch[..]);
+        let buf = self.pool.get().expect("pool sized for a full ring");
+        self.pool.write_frame(buf, &self.scratch[..len]);
+        assert!(
+            self.dev(dir).offer_to(0, buf),
+            "staged within ring capacity"
+        );
+    }
+
+    /// NF side: put a forwarded frame on port `out`'s TX ring.
+    fn transmit(&mut self, out: Direction, buf: BufIdx) {
+        let bytes = self.pool.frame(buf).len();
+        assert!(
+            self.dev(out).tx_put(0, buf, bytes),
+            "tx ring holds a full burst"
+        );
     }
 
     /// Push one frame through the full path, returning the verdict and
@@ -71,39 +98,22 @@ impl Testbed {
         now: Time,
         mut inspect: Option<InspectFn<'_>>,
     ) -> (Verdict, u64) {
-        // Tester side: buffer + frame + offer to the NIC.
-        let len = fields_writer(&mut self.scratch[..]);
-        let buf = self
-            .pool
-            .get()
-            .expect("testbed pool sized for one in flight");
-        self.pool.write_frame(buf, &self.scratch[..len]);
-        assert!(
-            self.dev(dir).offer(buf),
-            "single-packet offer cannot overflow"
-        );
+        self.stage(dir, fields_writer);
 
         // Middlebox side: the timed region.
         let t0 = std::time::Instant::now();
-        let got = self
-            .dev(dir)
-            .rx_burst_one()
-            .expect("frame was just offered");
+        let got = self.dev(dir).rx_take(0).expect("frame was just offered");
         let frame = self.pool.frame_mut(got);
         let verdict = nf.process(dir, frame, now);
         if let Verdict::Forward(out) = verdict {
-            let bytes = self.pool.frame(got).len();
-            assert!(
-                self.dev(out).tx_put(got, bytes),
-                "tx ring sized for one in flight"
-            );
+            self.transmit(out, got);
         }
         let elapsed = t0.elapsed().as_nanos() as u64;
 
         // Tester side: collect or reclaim.
         match verdict {
             Verdict::Forward(out) => {
-                let sent = self.dev(out).tx_take().expect("frame was just queued");
+                let sent = self.dev(out).tx_take(0).expect("frame was just queued");
                 if let Some(f) = inspect.as_mut() {
                     f(self.pool.frame(sent), out);
                 }
@@ -113,9 +123,7 @@ impl Testbed {
         }
         (verdict, elapsed)
     }
-}
 
-impl Testbed {
     /// Burst variant: stage up to `count` frames (ring-capacity bound)
     /// into the RX ring, then time one run-to-completion drain loop —
     /// the way a DPDK NF actually executes (`rte_eth_rx_burst` → process
@@ -128,46 +136,26 @@ impl Testbed {
         nf: &mut dyn Middlebox,
         dir: Direction,
         count: usize,
-        mut fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
+        fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
         now: Time,
     ) -> (usize, usize, u64) {
-        let count = count.min(self.dev(dir).rx.capacity());
-        // Tester side: stage the burst.
-        for i in 0..count {
-            let len = fields_writer(i, &mut self.scratch[..]);
-            let buf = self.pool.get().expect("pool sized for a full ring");
-            self.pool.write_frame(buf, &self.scratch[..len]);
-            assert!(self.dev(dir).offer(buf), "staged within ring capacity");
-        }
-        // Middlebox side: the timed run-to-completion loop.
-        let mut forwarded = 0usize;
-        let mut dropped = 0usize;
-        let t0 = std::time::Instant::now();
-        while let Some(buf) = self.dev(dir).rx_burst_one() {
-            let frame = self.pool.frame_mut(buf);
-            match nf.process(dir, frame, now) {
-                Verdict::Forward(out) => {
-                    let bytes = self.pool.frame(buf).len();
-                    assert!(
-                        self.dev(out).tx_put(buf, bytes),
-                        "tx ring holds a full burst"
-                    );
-                    forwarded += 1;
-                }
-                Verdict::Drop => {
-                    self.pool.put(buf);
-                    dropped += 1;
+        self.timed_burst(dir, count, fields_writer, |tb| {
+            let (mut forwarded, mut dropped) = (0, 0);
+            while let Some(buf) = tb.dev(dir).rx_take(0) {
+                let frame = tb.pool.frame_mut(buf);
+                match nf.process(dir, frame, now) {
+                    Verdict::Forward(out) => {
+                        tb.transmit(out, buf);
+                        forwarded += 1;
+                    }
+                    Verdict::Drop => {
+                        tb.pool.put(buf);
+                        dropped += 1;
+                    }
                 }
             }
-        }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        // Tester side: reclaim transmitted buffers.
-        for d in [Direction::Internal, Direction::External] {
-            while let Some(buf) = self.dev(d).tx_take() {
-                self.pool.put(buf);
-            }
-        }
-        (forwarded, dropped, elapsed)
+            (forwarded, dropped)
+        })
     }
 
     /// Batched-fast-path variant of [`Testbed::shoot_burst`]: the timed
@@ -182,50 +170,54 @@ impl Testbed {
         nf: &mut dyn Middlebox,
         dir: Direction,
         count: usize,
-        mut fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
+        fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
         now: Time,
     ) -> (usize, usize, u64) {
-        let count = count.min(self.dev(dir).rx.capacity());
-        // Tester side: stage the burst.
-        for i in 0..count {
-            let len = fields_writer(i, &mut self.scratch[..]);
-            let buf = self.pool.get().expect("pool sized for a full ring");
-            self.pool.write_frame(buf, &self.scratch[..len]);
-            assert!(self.dev(dir).offer(buf), "staged within ring capacity");
-        }
-        // Middlebox side: the timed run-to-completion loop, burst-wise.
-        let mut forwarded = 0usize;
-        let mut dropped = 0usize;
-        let mut batch: Vec<crate::dpdk::BufIdx> = Vec::with_capacity(vignat::MAX_BURST);
-        let t0 = std::time::Instant::now();
-        loop {
-            batch.clear();
-            if self.dev(dir).rx_burst(vignat::MAX_BURST, &mut batch) == 0 {
-                break;
-            }
-            let verdicts = nf.process_burst(dir, &mut self.pool, &batch, now);
-            debug_assert_eq!(verdicts.len(), batch.len());
-            for (&buf, v) in batch.iter().zip(&verdicts) {
-                match v {
-                    Verdict::Forward(out) => {
-                        let bytes = self.pool.frame(buf).len();
-                        assert!(
-                            self.dev(*out).tx_put(buf, bytes),
-                            "tx ring holds a full burst"
-                        );
-                        forwarded += 1;
-                    }
-                    Verdict::Drop => {
-                        self.pool.put(buf);
-                        dropped += 1;
+        let mut batch: Vec<BufIdx> = Vec::with_capacity(MAX_BURST);
+        self.timed_burst(dir, count, fields_writer, |tb| {
+            let (mut forwarded, mut dropped) = (0, 0);
+            loop {
+                batch.clear();
+                if tb.dev(dir).rx_burst(0, MAX_BURST, &mut batch) == 0 {
+                    break;
+                }
+                let verdicts = nf.process_burst(dir, &mut tb.pool, &batch, now);
+                debug_assert_eq!(verdicts.len(), batch.len());
+                for (&buf, v) in batch.iter().zip(&verdicts) {
+                    match v {
+                        Verdict::Forward(out) => {
+                            tb.transmit(*out, buf);
+                            forwarded += 1;
+                        }
+                        Verdict::Drop => {
+                            tb.pool.put(buf);
+                            dropped += 1;
+                        }
                     }
                 }
             }
+            (forwarded, dropped)
+        })
+    }
+
+    /// The body both burst variants share: stage up to `count` frames
+    /// on `dir`, time `drain` (which returns `(forwarded, dropped)`),
+    /// then reclaim every transmitted buffer.
+    fn timed_burst(
+        &mut self,
+        dir: Direction,
+        count: usize,
+        mut fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
+        drain: impl FnOnce(&mut Testbed) -> (usize, usize),
+    ) -> (usize, usize, u64) {
+        for i in 0..count.min(self.ring_size) {
+            self.stage(dir, |b| fields_writer(i, b));
         }
+        let t0 = std::time::Instant::now();
+        let (forwarded, dropped) = drain(self);
         let elapsed = t0.elapsed().as_nanos() as u64;
-        // Tester side: reclaim transmitted buffers.
         for d in [Direction::Internal, Direction::External] {
-            while let Some(buf) = self.dev(d).tx_take() {
+            while let Some(buf) = self.dev(d).tx_take(0) {
                 self.pool.put(buf);
             }
         }
@@ -543,7 +535,7 @@ pub struct ShardSweepPoint {
 /// [`VigNatMb`] over its slice of the capacity and port range, at
 /// `occupancy` of its table), then aggregate under the multi-queue RSS
 /// model — N independent RX queues, one core each, loss simulated per
-/// queue exactly as [`throughput_search`] does for one.
+/// queue exactly as [`search_rate_filtered`] does for one.
 ///
 /// Per-shard tables are `capacity/N` slots, so higher shard counts also
 /// shrink each core's working set — the sweep measures that real cache
@@ -607,62 +599,6 @@ fn wall_frame(gen: &FlowGen, i: u32, buf: &mut [u8]) -> Vec<u8> {
     let f = gen.background(i);
     let len = gen.write_frame(&f, buf);
     buf[..len].to_vec()
-}
-
-/// Wall-clock packet rate (Mpps) of [`ParallelShardedNat`] on this
-/// machine: populate to `occupancy`, then time `packets` all-hit
-/// packets pushed through one persistent **pinned** runtime session
-/// ([`ParallelShardedNat::with_runtime`]) in large bursts. Unlike
-/// [`sharded_throughput_sweep`] this includes ring traffic and
-/// dispatcher coordination and is bounded by the host's physical
-/// parallelism — reported for honesty alongside the modeled aggregate,
-/// never used for shape claims (CI machines may have one core; the
-/// bench JSON carries the pin report so readers can tell).
-pub fn sharded_parallel_wallclock_mpps(
-    cfg: &NatConfig,
-    shards: usize,
-    occupancy: f64,
-    packets: usize,
-) -> f64 {
-    let mut nat = ParallelShardedNat::new(*cfg, shards, WALL_BURST);
-    let flows =
-        ((shards as f64 * nat.table().per_shard_capacity() as f64 * occupancy) as usize).max(1);
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut buf = vec![0u8; MBUF_SIZE];
-    let (mpps, _report) = nat.with_runtime(true, |session| {
-        let mut now = Time::from_secs(1);
-        // Populate (untimed).
-        for chunk_start in (0..flows).step_by(WALL_BURST) {
-            let mut frames: Vec<Vec<u8>> = (chunk_start..flows.min(chunk_start + WALL_BURST))
-                .map(|i| wall_frame(&gen, i as u32, &mut buf))
-                .collect();
-            now = now.plus(1_000);
-            session.process_burst(Direction::Internal, &mut frames, now);
-        }
-        // Timed all-hit phase (per-burst stopwatch: frame generation
-        // stays outside the measurement).
-        let mut done = 0usize;
-        let mut next = 0u32;
-        let mut elapsed_ns = 0u64;
-        while done < packets {
-            let count = WALL_BURST.min(packets - done);
-            let mut frames: Vec<Vec<u8>> = (0..count)
-                .map(|k| wall_frame(&gen, (next + k as u32) % flows as u32, &mut buf))
-                .collect();
-            next = (next + count as u32) % flows as u32;
-            now = now.plus(1_000);
-            let t = std::time::Instant::now();
-            session.process_burst(Direction::Internal, &mut frames, now);
-            elapsed_ns += t.elapsed().as_nanos() as u64;
-            done += count;
-        }
-        if elapsed_ns == 0 {
-            0.0
-        } else {
-            done as f64 / (elapsed_ns as f64 / 1e9) / 1e6
-        }
-    });
-    mpps
 }
 
 /// One point of the aggregate-Mpps scaling curve
@@ -1010,7 +946,7 @@ fn steady_state_service_times_impl(
         // actually went through.
         let staged = fwd + drop;
         debug_assert!(staged > 0);
-        debug_assert_eq!(drop, 0, "steady state must be all hits");
+        assert_eq!(drop, 0, "steady state must be all hits");
         next_flow = (base + staged as u32) % flows as u32;
         let per_packet = ns / staged as u64;
         samples.extend(std::iter::repeat_n(per_packet.max(1), staged));
@@ -1272,36 +1208,6 @@ pub fn search_rate_with_ci(svc: &LatencySamples, ring_cap: usize) -> RateEstimat
         outliers_rejected,
         per_trial_mpps,
     }
-}
-
-/// Fig. 14 driver: measure steady-state service times, MAD-reject
-/// outliers, then search for the maximum rate at ≤ 0.1% loss. Returns
-/// (Mpps, mean service ns, outlier samples rejected).
-pub fn throughput_search(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> (f64, f64, usize) {
-    let svc = steady_state_service_times(nf, tb, flows, packets, texp_ns);
-    search_rate_filtered(&svc, ring_cap)
-}
-
-/// [`throughput_search`] over the batched fast path: service times are
-/// measured through [`Middlebox::process_burst`]. Returns
-/// (Mpps, mean service ns, outlier samples rejected).
-pub fn throughput_search_batched(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> (f64, f64, usize) {
-    let svc = steady_state_service_times_batched(nf, tb, flows, packets, texp_ns);
-    search_rate_filtered(&svc, ring_cap)
 }
 
 #[cfg(test)]

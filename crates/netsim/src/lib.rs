@@ -7,15 +7,16 @@
 //! §5 for the substitution argument):
 //!
 //! * [`dpdk`] — the runtime: a preallocated buffer [`dpdk::Mempool`]
-//!   (DPDK's mbuf pool), fixed-capacity [`dpdk::Ring`]s,
-//!   [`dpdk::Device`]s with RX/TX queues and port statistics, and the
-//!   multi-queue [`dpdk::MultiQueueDevice`] (N ring pairs with
-//!   per-queue stats, fed through the RSS classifier);
+//!   (DPDK's mbuf pool), fixed-capacity [`dpdk::Ring`]s, and the one
+//!   simulated NIC port, [`dpdk::MultiQueueDevice`] (N RX/TX ring
+//!   pairs with per-queue stats, fed through the RSS classifier; one
+//!   queue is the classic single-ring port);
 //! * [`eventloop`] — the async (epoll-style) driver: readiness
 //!   [`eventloop::Poller`] over queue non-empty events, weighted
 //!   round-robin budgets, idle backoff, and the
-//!   [`eventloop::MultiQueueTestbed`] that runs the verified batch
-//!   loop per queue event;
+//!   [`eventloop::BackendDriver`] that runs the verified batch loop
+//!   per queue event over any [`backend::PacketIo`] backend, plus the
+//!   event-driven RFC 2544 measurement loops;
 //! * [`frame_env`] — the bridge that runs the **verified loop body**
 //!   (`vignat::nat_loop_iteration`) over real packet bytes: header
 //!   fields in, incremental-checksum rewrites out;
@@ -23,9 +24,10 @@
 //!   ([`middlebox::Middlebox`]), plus the VigNAT and no-op instances;
 //! * [`tester`] — the MoonGen analog: background/probe flow workloads,
 //!   deterministic and reproducible via seeds;
-//! * [`harness`] — the RFC 2544 measurement methodology: per-packet
-//!   latency sampling through the full mempool→ring→NF→ring path, and
-//!   loss-bounded maximum-throughput search.
+//! * [`harness`] — the RFC 2544 measurement methodology: the
+//!   single-queue [`harness::Testbed`], per-packet latency sampling
+//!   through the full mempool→ring→NF→ring path, and loss-bounded
+//!   maximum-throughput search.
 //!
 //! * [`runtime`] — the persistent core-pinned shard runtime: one
 //!   long-lived worker thread per shard (pinned via `sched_setaffinity`
@@ -72,8 +74,8 @@ pub mod tester;
 pub use backend::{
     CorruptKind, FaultIo, FaultPlan, FaultStats, PacketIo, SimBackend, TesterIo, TruncateKind,
 };
-pub use dpdk::{Device, Mempool, MultiQueueDevice, PortStats, Ring};
-pub use eventloop::{BackendDriver, EventLoop, MultiQueueTestbed, Poller, TxRecord, Wrr};
+pub use dpdk::{Mempool, MultiQueueDevice, PortStats, Ring};
+pub use eventloop::{BackendDriver, EventLoop, Poller, TxRecord, Wrr};
 pub use frame_env::{BurstEnv, FrameEnv, RssClassifier};
 pub use middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
 pub use runtime::{

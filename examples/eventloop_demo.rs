@@ -14,7 +14,8 @@
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::NatConfig;
 use vignat_repro::packet::{Direction, Ip4, Proto};
-use vignat_repro::sim::eventloop::{event_driven_service_times, EventLoop, MultiQueueTestbed};
+use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
+use vignat_repro::sim::eventloop::{event_driven_service_times, BackendDriver};
 use vignat_repro::sim::frame_env::RssClassifier;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb};
 use vignat_repro::sim::tester::FlowGen;
@@ -35,8 +36,7 @@ fn main() {
     // A visible drain: 10k flows offered through the classifier, one
     // event-driven drain, per-queue accounting afterwards.
     let mut nf = ShardedVigNatMb::sharded(cfg, shards);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&cfg, queues), 4096);
-    let mut ev = EventLoop::new(queues);
+    let mut drv = BackendDriver::new(SimBackend::new(RssClassifier::for_nat(&cfg, queues), 4096));
     let gen = FlowGen::new(Proto::Udp);
     let flows = 10_000u32;
     // Stage in ring-sized rounds (a tester can always outrun Q rings);
@@ -51,25 +51,26 @@ fn main() {
         for i in start..flows.min(start + round) {
             let f = gen.background(i);
             assert!(
-                tb.offer(Direction::Internal, |b| gen.write_frame(&f, b))
+                drv.io_mut()
+                    .stage(Direction::Internal, |b| gen.write_frame(&f, b))
                     .is_some(),
                 "rings sized for one round"
             );
         }
         now = now.plus(1_000);
-        let stats = tb.drain_event_driven(&mut nf, now, &mut ev);
+        let stats = drv.drain(&mut nf, now);
         forwarded += stats.forwarded;
         dropped += stats.dropped;
         bursts += stats.bursts;
         polls += stats.polls;
-        let _ = tb.collect_tx(Direction::External);
+        let _ = drv.io_mut().reap(Direction::External);
     }
     println!(
         "drained {} frames in {bursts} bursts over {polls} polls ({forwarded} forwarded, {dropped} dropped)",
         forwarded + dropped,
     );
     for q in 0..queues {
-        let s = tb.queue_stats(Direction::Internal, q);
+        let s = drv.io().queue_stats(Direction::Internal, q);
         println!(
             "  internal rx queue {q}: rx {} dropped {} (share {:.1}%)",
             s.rx,
@@ -81,14 +82,14 @@ fn main() {
     assert_eq!(forwarded, u64::from(flows));
 
     // Steady-state service time through the event loop (all hits).
-    let svc = event_driven_service_times(
-        &cfg,
-        queues,
-        shards,
+    let mut nf = ShardedVigNatMb::sharded(cfg, shards);
+    let (svc, _io) = event_driven_service_times(
+        SimBackend::new(RssClassifier::for_nat(&cfg, queues), 512),
+        &mut nf,
+        &gen,
         8_192,
         40_000,
         Time::from_secs(60).nanos(),
-        512,
     );
     println!(
         "steady-state per-packet service through the event loop: mean {:.1} ns, p99 {} ns",

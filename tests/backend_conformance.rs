@@ -3,12 +3,18 @@
 //!
 //! Two differential layers:
 //!
-//! 1. **`SimBackend` ≡ legacy `MultiQueueTestbed`** — the generic
-//!    [`BackendDriver`] over the simulated backend is byte-for-byte
-//!    the legacy event-driven drain: same tx sequences (queue and
-//!    bytes, in order), same per-queue rx/drop/tx accounting (including
-//!    under deliberate queue overflow and tx byte attribution), same
-//!    NAT state, round by round.
+//! 1. **`SimBackend` trace fingerprints** — the generic
+//!    [`BackendDriver`] over the simulated backend replaced a second,
+//!    hand-written multi-queue testbed drain that it was proven
+//!    byte-for-byte equal to, round by round. That evidence is kept as
+//!    an FNV fingerprint of the driver's full observable trace per
+//!    schedule (admissions, drain counters, TX sequences with queue
+//!    indices, per-queue rx/drop/tx/tx-bytes accounting under
+//!    deliberate queue overflow, NAT state, expiry total, pool level),
+//!    recorded while both drains still ran and asserted equal. Any
+//!    change to scheduling, admission, accounting or translation moves
+//!    a fingerprint. Per-flow equivalence to the sequential NAT lives
+//!    in `tests/queue_equivalence.rs`.
 //! 2. **OS ≡ sim on a recorded trace** (`#[ignore]`, needs
 //!    `CAP_NET_ADMIN`/`CAP_NET_RAW` — CI's `os-backend-integration`
 //!    job), run for *both* wire transports — the per-frame
@@ -34,7 +40,7 @@ use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{parse_l3l4, Direction, Flow, Ip4};
 use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
-use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, MultiQueueTestbed, TxRecord, Wrr};
+use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, TxRecord, Wrr};
 use vignat_repro::sim::middlebox::Middlebox;
 use vignat_repro::sim::middlebox::ShardedVigNatMb;
 use vignat_repro::sim::tester::FlowGen;
@@ -77,15 +83,87 @@ fn all_queue_stats<B: PacketIo>(io: &B) -> Vec<(u64, u64, u64, u64)> {
     out
 }
 
-fn legacy_queue_stats(tb: &MultiQueueTestbed) -> Vec<(u64, u64, u64, u64)> {
-    let mut out = Vec::new();
-    for dir in [Direction::Internal, Direction::External] {
-        for q in 0..tb.queue_count() {
-            let s = tb.queue_stats(dir, q);
-            out.push((s.rx, s.rx_dropped, s.tx, s.tx_bytes));
+/// FNV-1a over little-endian words — the fingerprint hash of
+/// `tests/expiry_equivalence.rs`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
-    out
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// One round's observable trace, in the order it is fingerprinted.
+struct RoundTrace {
+    /// Per staged frame: the RX queue it entered, or `None` (dropped).
+    admissions: Vec<Option<usize>>,
+    /// `(forwarded, dropped, bursts, polls)` of the drain.
+    drain: (u64, u64, u64, u64),
+    /// Reaped TX frames per port (external, then internal) as
+    /// `(tx queue, bytes)`.
+    tx: Vec<Vec<(usize, Vec<u8>)>>,
+    /// Per-queue `(rx, rx_dropped, tx, tx_bytes)`, both ports.
+    queue_stats: Vec<(u64, u64, u64, u64)>,
+    /// The NAT's resident flows (see [`nat_state`]).
+    state: Vec<(usize, usize, Flow, Time)>,
+    expired_total: u64,
+    pool_available: usize,
+}
+
+impl RoundTrace {
+    fn fold(&self, h: &mut Fnv) {
+        h.u64(self.admissions.len() as u64);
+        for a in &self.admissions {
+            h.u64(a.map_or(u64::MAX, |q| q as u64));
+        }
+        let (fwd, drop, bursts, polls) = self.drain;
+        for v in [fwd, drop, bursts, polls] {
+            h.u64(v);
+        }
+        for port in &self.tx {
+            h.u64(port.len() as u64);
+            for (q, frame) in port {
+                h.u64(*q as u64);
+                h.u64(frame.len() as u64);
+                h.bytes(frame);
+            }
+        }
+        for &(rx, rx_dropped, tx, tx_bytes) in &self.queue_stats {
+            for v in [rx, rx_dropped, tx, tx_bytes] {
+                h.u64(v);
+            }
+        }
+        h.u64(self.state.len() as u64);
+        for (s, slot, f, stamp) in &self.state {
+            for v in [
+                *s as u64,
+                *slot as u64,
+                u64::from(f.int_key.src_ip.0),
+                u64::from(f.int_key.src_port),
+                u64::from(f.int_key.dst_ip.0),
+                u64::from(f.int_key.dst_port),
+                u64::from(f.int_key.proto.number()),
+                u64::from(f.ext_ip.0),
+                u64::from(f.ext_port),
+                stamp.nanos(),
+            ] {
+                h.u64(v);
+            }
+        }
+        h.u64(self.expired_total);
+        h.u64(self.pool_available as u64);
+    }
 }
 
 /// One schedule round: frames (with their port) offered to both sides.
@@ -94,8 +172,7 @@ type RoundFrames = Vec<(Direction, Vec<u8>)>;
 /// Build a mixed adversarial schedule: new flows, repeats, replies to
 /// round-1 translations, garbage, and a flood aimed at one queue.
 /// Replies are crafted from `learned` (the translated frames the first
-/// round produced — identical on both sides by the time they are
-/// needed).
+/// round produced).
 fn mixed_round(gen: &FlowGen, round: usize, learned: &[Vec<u8>]) -> RoundFrames {
     let mut frames: RoundFrames = Vec::new();
     match round {
@@ -143,86 +220,73 @@ fn mixed_round(gen: &FlowGen, round: usize, learned: &[Vec<u8>]) -> RoundFrames 
     frames
 }
 
-/// Drive the legacy testbed and the generic driver over `SimBackend`
-/// through the same schedule with the given event-loop builders,
-/// asserting byte-for-byte equality after every round.
-fn run_differential(queues: usize, shards: usize, ring: usize, mk_ev: impl Fn(usize) -> EventLoop) {
+/// Drive the generic driver over `SimBackend` through the mixed
+/// schedule with the given event-loop builder and return the
+/// fingerprint of its observable trace, folded round by round.
+fn run_differential(
+    queues: usize,
+    shards: usize,
+    ring: usize,
+    mk_ev: impl Fn(usize) -> EventLoop,
+) -> u64 {
     let c = cfg(256);
     let gen = FlowGen::new(vignat_repro::packet::Proto::Udp);
-
-    let mut legacy_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut legacy_tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, queues), ring);
-    let mut legacy_ev = mk_ev(queues);
-
     let mut nf = ShardedVigNatMb::sharded(c, shards);
     let mut drv = BackendDriver::with_event_loop(
         SimBackend::new(RssClassifier::for_nat(&c, queues), ring),
         mk_ev(queues),
     );
 
+    let mut h = Fnv::new();
     let mut learned: Vec<Vec<u8>> = Vec::new();
     for round in 0..3 {
         let frames = mixed_round(&gen, round, &learned);
         let now = Time::from_secs(1 + round as u64);
 
-        let mut offered = (0, 0);
-        for (dir, bytes) in &frames {
-            let a = legacy_tb.offer(*dir, |b| {
-                b[..bytes.len()].copy_from_slice(bytes);
-                bytes.len()
-            });
-            let b = drv.io_mut().stage(*dir, |b| {
-                b[..bytes.len()].copy_from_slice(bytes);
-                bytes.len()
-            });
-            assert_eq!(a, b, "admission diverged in round {round}");
-            offered = (offered.0 + 1, offered.1 + usize::from(a.is_some()));
-        }
+        let admissions: Vec<Option<usize>> = frames
+            .iter()
+            .map(|(dir, bytes)| {
+                drv.io_mut().stage(*dir, |b| {
+                    b[..bytes.len()].copy_from_slice(bytes);
+                    bytes.len()
+                })
+            })
+            .collect();
         if round == 2 {
             assert!(
-                offered.1 < offered.0,
-                "flood round must actually overflow a queue (got {offered:?})"
+                admissions.iter().any(Option::is_none),
+                "flood round must actually overflow a queue"
             );
         }
 
-        let ls = legacy_tb.drain_event_driven(&mut legacy_nf, now, &mut legacy_ev);
         let ds = drv.drain(&mut nf, now);
-        assert_eq!(
-            (ls.forwarded, ls.dropped, ls.bursts, ls.polls),
-            (ds.forwarded, ds.dropped, ds.bursts, ds.polls),
-            "drain stats diverged in round {round}"
-        );
-
-        for dir in [Direction::External, Direction::Internal] {
-            let lt = legacy_tb.collect_tx(dir);
-            let dt = drv.io_mut().reap(dir);
-            assert_eq!(lt, dt, "tx sequence diverged in round {round} on {dir:?}");
-            if round == 0 && dir == Direction::External {
-                learned = lt.iter().map(|(_, f)| f.clone()).collect();
-            }
+        let tx: Vec<_> = [Direction::External, Direction::Internal]
+            .into_iter()
+            .map(|dir| drv.io_mut().reap(dir))
+            .collect();
+        if round == 0 {
+            learned = tx[0].iter().map(|(_, f)| f.clone()).collect();
         }
-
-        assert_eq!(
-            legacy_queue_stats(&legacy_tb),
-            all_queue_stats(drv.io()),
-            "per-queue accounting diverged in round {round}"
-        );
-        assert_eq!(
-            nat_state(&legacy_nf),
-            nat_state(&nf),
-            "NAT state diverged in round {round}"
-        );
-        assert_eq!(legacy_nf.expired_total(), nf.expired_total());
-        assert_eq!(legacy_tb.pool_available(), drv.io().pool_available());
+        RoundTrace {
+            admissions,
+            drain: (ds.forwarded, ds.dropped, ds.bursts, ds.polls),
+            tx,
+            queue_stats: all_queue_stats(drv.io()),
+            state: nat_state(&nf),
+            expired_total: nf.expired_total(),
+            pool_available: drv.io().pool_available(),
+        }
+        .fold(&mut h);
     }
     nf.flow_manager().check_coherence().unwrap();
+    h.0
 }
 
 /// The fault layer's identity theorem on the sim backend: `FaultIo`
 /// with the empty schedule is byte-for-byte the inner backend — same
 /// admissions, TX sequences, per-queue stats, NAT state, pool levels,
 /// and untouched fault counters — across the same adversarial schedule
-/// the legacy-parity suite uses (overflow round included).
+/// the fingerprinted suite uses (overflow round included).
 fn run_faultio_identity(queues: usize, shards: usize, ring: usize) {
     use vignat_repro::sim::backend::{FaultIo, FaultPlan, FaultStats};
     let c = cfg(256);
@@ -281,9 +345,16 @@ fn run_faultio_identity(queues: usize, shards: usize, ring: usize) {
     nf.flow_manager().check_coherence().unwrap();
 }
 
+// Trace fingerprints of the three schedules, recorded from the
+// retired multi-queue testbed drain while `BackendDriver<SimBackend>`
+// was asserted byte-for-byte equal to it every round.
+const FP_4Q_2S_RING8: u64 = 0x6765_ca97_622c_befc;
+const FP_2Q_2S_RING2: u64 = 0x3d12_2ae0_017a_9882;
+const FP_2Q_2S_RING8_WEIGHTED: u64 = 0xa3de_59c9_e556_03f9;
+
 #[test]
 fn sim_backend_matches_legacy_testbed_byte_for_byte() {
-    run_differential(4, 2, 8, EventLoop::new);
+    assert_eq!(run_differential(4, 2, 8, EventLoop::new), FP_4Q_2S_RING8);
 }
 
 #[test]
@@ -298,21 +369,22 @@ fn faultio_identity_holds_under_queue_overflow() {
 
 #[test]
 fn drop_accounting_parity_under_queue_overflow() {
-    // 2-descriptor rings: nearly everything overflows; the two sides
-    // must agree on every per-queue drop counter anyway.
-    run_differential(2, 2, 2, EventLoop::new);
+    // 2-descriptor rings: nearly everything overflows; every per-queue
+    // drop counter is part of the fingerprint.
+    assert_eq!(run_differential(2, 2, 2, EventLoop::new), FP_2Q_2S_RING2);
 }
 
 #[test]
 fn weighted_budgets_preserve_equivalence() {
     // Skewed WRR weights and a tight backoff window exercise the
-    // rotation/budget machinery on both sides of the seam.
-    run_differential(2, 2, 8, |queues| {
+    // rotation/budget machinery.
+    let fp = run_differential(2, 2, 8, |queues| {
         EventLoop::with_parts(
             Poller::with_backoff(100, 400),
             Wrr::weighted((1..=queues).collect(), 4),
         )
     });
+    assert_eq!(fp, FP_2Q_2S_RING8_WEIGHTED);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 //! Multi-queue / event-driven differential tests: the epoll-style
-//! driver over the multi-queue NIC model must be byte-for-byte
-//! equivalent, per flow, to the sequential single-queue driver.
+//! driver (`BackendDriver` over the simulated multi-queue backend) must
+//! be byte-for-byte equivalent, per flow, to the sequential per-frame
+//! NAT.
 //!
 //! The equivalence argument, layer by layer:
 //!
@@ -38,7 +39,8 @@ use std::collections::HashMap;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4, Proto};
-use vignat_repro::sim::eventloop::{EventLoop, MultiQueueTestbed, Poller, Wrr};
+use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
+use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, Poller, Wrr};
 use vignat_repro::sim::frame_env::RssClassifier;
 use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
@@ -115,26 +117,25 @@ fn run_sequential(
     out
 }
 
-/// Event-driven driver: offer everything (classified by RSS), drain
-/// with the given driver state, collect both ports' TX queues.
-fn run_event_driven(
-    nf: &mut ShardedVigNatMb,
-    tb: &mut MultiQueueTestbed,
-    ev: &mut EventLoop,
-    traffic: &[(Direction, Vec<u8>)],
-    now: Time,
-) -> Outputs {
-    for (dir, frame) in traffic {
-        let accepted = tb.offer(*dir, |b| {
-            b[..frame.len()].copy_from_slice(frame);
-            frame.len()
-        });
-        assert!(accepted.is_some(), "test traffic sized within the rings");
-    }
-    tb.drain_event_driven(nf, now, ev);
+/// The event-driven driver under test: the simulated multi-queue
+/// backend behind `queues` RSS queues of `ring`-descriptor rings.
+fn driver(c: &NatConfig, queues: usize, ring: usize, ev: EventLoop) -> BackendDriver<SimBackend> {
+    BackendDriver::with_event_loop(SimBackend::new(RssClassifier::for_nat(c, queues), ring), ev)
+}
+
+/// Stage one frame on its port; the RX queue it entered, if admitted.
+fn stage(drv: &mut BackendDriver<SimBackend>, dir: Direction, frame: &[u8]) -> Option<usize> {
+    drv.io_mut().stage(dir, |b| {
+        b[..frame.len()].copy_from_slice(frame);
+        frame.len()
+    })
+}
+
+/// Collect both ports' TX queues, keyed by tag.
+fn reap_outputs(drv: &mut BackendDriver<SimBackend>) -> Outputs {
     let mut out = Outputs::new();
     for dir in [Direction::Internal, Direction::External] {
-        for (_q, frame) in tb.collect_tx(dir) {
+        for (_q, frame) in drv.io_mut().reap(dir) {
             let tag = tag_of(&frame);
             assert!(
                 out.insert(tag, (dir, frame)).is_none(),
@@ -143,6 +144,22 @@ fn run_event_driven(
         }
     }
     out
+}
+
+/// Event-driven driver: stage everything (classified by RSS), drain,
+/// collect both ports' TX queues.
+fn run_event_driven(
+    nf: &mut ShardedVigNatMb,
+    drv: &mut BackendDriver<SimBackend>,
+    traffic: &[(Direction, Vec<u8>)],
+    now: Time,
+) -> Outputs {
+    for (dir, frame) in traffic {
+        let accepted = stage(drv, *dir, frame);
+        assert!(accepted.is_some(), "test traffic sized within the rings");
+    }
+    drv.drain(nf, now);
+    reap_outputs(drv)
 }
 
 fn assert_same_outputs(a: &Outputs, b: &Outputs, what: &str) {
@@ -167,12 +184,11 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
         let c = cfg();
         let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
         let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, shards), 64);
         // Skewed weights + small quantum: force budgeted interleaving
         // rather than drain-to-completion per queue.
         let weights: Vec<usize> = (0..shards).map(|q| 1 + (q % 2)).collect();
-        let mut ev =
-            EventLoop::with_parts(Poller::with_backoff(100, 1_000), Wrr::weighted(weights, 4));
+        let ev = EventLoop::with_parts(Poller::with_backoff(100, 1_000), Wrr::weighted(weights, 4));
+        let mut drv = driver(&c, shards, 64, ev);
         let mut tag = 0u32;
         let next_tag = |n: &mut u32| {
             *n += 1;
@@ -185,7 +201,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 12, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round1, t1);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round1, t1);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round1, t1);
         assert_same_outputs(&seq_out, &ev_out, "round 1");
 
         // Round 2a (t=2s), external drain: replies to every translation
@@ -228,7 +244,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             next_tag(&mut tag),
         ));
         let seq_out = run_sequential(&mut seq_nf, &round2a, t2);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round2a, t2);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round2a, t2);
         assert_same_outputs(&seq_out, &ev_out, "round 2a");
 
         // Round 2b, internal drain at the same instant: repeats that
@@ -238,7 +254,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 12, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round2b, t2);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round2b, t2);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round2b, t2);
         assert_same_outputs(&seq_out, &ev_out, "round 2b");
 
         // Round 3 (t=10s, Texp=2s): everything expired — the expiry
@@ -248,7 +264,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 20, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round3, t3);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round3, t3);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round3, t3);
         assert_same_outputs(&seq_out, &ev_out, "round 3");
 
         // Final state: same occupancy, same expiry count, and the same
@@ -279,15 +295,15 @@ fn mixed_direction_drain_translates_identically_per_flow() {
     let shards = 2usize;
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, shards), 64);
-    let mut ev = EventLoop::with_parts(Poller::new(), Wrr::weighted(vec![2, 1], 4));
+    let ev = EventLoop::with_parts(Poller::new(), Wrr::weighted(vec![2, 1], 4));
+    let mut drv = driver(&c, shards, 64, ev);
 
     // Establish a few flows (single-direction round — equivalence from
     // the headline test).
     let t1 = Time::from_secs(1);
     let round1: Vec<_> = (0..12).map(|h| internal(h, 500 + u32::from(h))).collect();
     let seq_out = run_sequential(&mut seq_nf, &round1, t1);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round1, t1);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round1, t1);
     assert_same_outputs(&seq_out, &ev_out, "mixed: establish");
 
     // One drain mixing new flows, repeats, and replies.
@@ -314,7 +330,7 @@ fn mixed_direction_drain_translates_identically_per_flow() {
         mixed.push(internal(i as u8 % 12, tag)); // repeats
     }
     let seq_out = run_sequential(&mut seq_nf, &mixed, t2);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &mixed, t2);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &mixed, t2);
     assert_same_outputs(&seq_out, &ev_out, "mixed drain");
     assert_eq!(seq_nf.occupancy(), ev_nf.occupancy());
     ev_nf.flow_manager().check_coherence().unwrap();
@@ -330,8 +346,7 @@ fn four_queues_two_shards_established_flows_translate_identically() {
     let (queues, shards) = (4usize, 2usize);
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, queues), 64);
-    let mut ev = EventLoop::new(queues);
+    let mut drv = driver(&c, queues, 64, EventLoop::new(queues));
 
     // Establish the same flows in both NATs through the *same
     // sequential* order (allocation fixed), outside the queues; the
@@ -378,7 +393,7 @@ fn four_queues_two_shards_established_flows_translate_identically() {
         }
     }
     let seq_out = run_sequential(&mut seq_nf, &traffic, t2);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &traffic, t2);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &traffic, t2);
     assert_same_outputs(&seq_out, &ev_out, "4q x 2s steady state");
     assert_eq!(seq_nf.occupancy(), ev_nf.occupancy());
 }
@@ -394,14 +409,13 @@ fn overflowing_queue_counts_drops_and_spares_siblings() {
     let ring = 8usize;
     let mut nf = ShardedVigNatMb::sharded(c, queues);
     let mut oracle = ShardedVigNatMb::sharded(c, queues);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, queues), ring);
-    let mut ev = EventLoop::new(queues);
+    let mut drv = driver(&c, queues, ring, EventLoop::new(queues));
 
     // Sort candidate flows by the queue RSS steers them to.
     let mut by_queue: Vec<Vec<u8>> = vec![Vec::new(); queues];
     for h in 0..=255u8 {
         let (_, frame) = internal(h, 0);
-        let q = tb.classifier().queue_of(Direction::Internal, &frame);
+        let q = drv.io().classifier().queue_of(Direction::Internal, &frame);
         by_queue[q].push(h);
     }
     assert!(
@@ -420,13 +434,7 @@ fn overflowing_queue_counts_drops_and_spares_siblings() {
         let h = by_queue[0][k % by_queue[0].len()];
         let (dir, frame) = internal(h, tag);
         offered_q0 += 1;
-        if tb
-            .offer(dir, |b| {
-                b[..frame.len()].copy_from_slice(&frame);
-                frame.len()
-            })
-            .is_some()
-        {
+        if stage(&mut drv, dir, &frame).is_some() {
             accepted.push((dir, frame));
         }
     }
@@ -434,33 +442,25 @@ fn overflowing_queue_counts_drops_and_spares_siblings() {
         tag += 1;
         let h = by_queue[1][k % by_queue[1].len()];
         let (dir, frame) = internal(h, tag);
-        let q = tb.offer(dir, |b| {
-            b[..frame.len()].copy_from_slice(&frame);
-            frame.len()
-        });
+        let q = stage(&mut drv, dir, &frame);
         assert_eq!(q, Some(1), "sibling queue must not be affected");
         accepted.push((dir, frame));
     }
 
     // Accounting: queue 0 accepted exactly its ring depth and dropped
     // the rest; queue 1 is clean.
-    let s0 = tb.queue_stats(Direction::Internal, 0);
-    let s1 = tb.queue_stats(Direction::Internal, 1);
+    let s0 = drv.io().queue_stats(Direction::Internal, 0);
+    let s1 = drv.io().queue_stats(Direction::Internal, 1);
     assert_eq!(s0.rx, ring as u64);
     assert_eq!(s0.rx_dropped, offered_q0 - ring as u64);
     assert_eq!((s1.rx, s1.rx_dropped), (4, 0));
 
     // The drain processes every accepted frame — and only those —
     // exactly as the oracle fed the accepted subsequence does.
-    let stats = tb.drain_event_driven(&mut nf, t, &mut ev);
+    let stats = drv.drain(&mut nf, t);
     assert_eq!(stats.forwarded, ring as u64 + 4);
     assert_eq!(stats.dropped, 0, "ring loss is not NF loss");
-    let mut ev_out = Outputs::new();
-    for dir in [Direction::Internal, Direction::External] {
-        for (_q, frame) in tb.collect_tx(dir) {
-            ev_out.insert(tag_of(&frame), (dir, frame));
-        }
-    }
+    let ev_out = reap_outputs(&mut drv);
     let seq_out = run_sequential(&mut oracle, &accepted, t);
     assert_same_outputs(&seq_out, &ev_out, "accepted subsequence");
     assert_eq!(nf.occupancy(), oracle.occupancy());
@@ -470,16 +470,10 @@ fn overflowing_queue_counts_drops_and_spares_siblings() {
     let t2 = Time::from_secs(1).plus(1_000_000);
     let h = by_queue[0][0];
     let (dir, frame) = internal(h, 77_777);
-    assert_eq!(
-        tb.offer(dir, |b| {
-            b[..frame.len()].copy_from_slice(&frame);
-            frame.len()
-        }),
-        Some(0)
-    );
-    let stats = tb.drain_event_driven(&mut nf, t2, &mut ev);
+    assert_eq!(stage(&mut drv, dir, &frame), Some(0));
+    let stats = drv.drain(&mut nf, t2);
     assert_eq!(stats.forwarded, 1);
-    let _ = tb.collect_tx(Direction::External);
+    let _ = drv.io_mut().reap(Direction::External);
 }
 
 /// The NIC model's classifier and the parallel driver's software
